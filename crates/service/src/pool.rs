@@ -5,7 +5,10 @@
 //! take turns holding the lock just long enough to dequeue — the classic
 //! std-only work queue). Dropping the pool closes the channel, lets every
 //! queued job finish, and joins the workers; a pool is therefore safe to
-//! use from `Drop` order anywhere in the service.
+//! use from `Drop` order anywhere in the service. A job may hold the
+//! pool's last owner, so the pool can be dropped on one of its own
+//! workers: that worker is detached rather than joined, and exits once
+//! its job returns.
 //!
 //! A panicking job must not shrink the pool: jobs run under
 //! [`std::panic::catch_unwind`], so the worker survives, counts the
@@ -143,7 +146,12 @@ fn worker_loop(rx: &Mutex<Receiver<Job>>, gauges: &PoolGauges) {
 impl Drop for WorkerPool {
     fn drop(&mut self) {
         drop(self.tx.take()); // close the channel: workers drain then exit
+        let current = std::thread::current().id();
         for w in self.workers.drain(..) {
+            // joining the calling thread itself would fail with EDEADLK
+            if w.thread().id() == current {
+                continue;
+            }
             // A worker that panicked outside catch_unwind has nothing
             // left to report; Drop cannot propagate, and the panic was
             // already counted.
@@ -220,6 +228,38 @@ mod tests {
         rx.recv().unwrap();
         assert_eq!(pool.queue_depth(), 0);
         assert!(pool.busy_ns() >= 5_000_000, "busy={}", pool.busy_ns());
+    }
+
+    /// A job that drops the pool's last owner runs `Drop` on a worker.
+    /// That worker must be detached, not joined (a thread joining itself
+    /// fails with EDEADLK), and every other worker must still be joined.
+    #[test]
+    fn job_dropping_the_last_owner_detaches_its_own_worker() {
+        const WORKERS: usize = 3;
+        let pool = Arc::new(WorkerPool::new(WORKERS));
+        let gauges = Arc::clone(&pool.gauges);
+        let workers_alive = Arc::downgrade(&gauges);
+        let owner = Arc::clone(&pool);
+        let gate = Arc::new(Barrier::new(2));
+        let job_gate = Arc::clone(&gate);
+        let (tx, rx) = channel();
+        assert!(pool.submit(move || {
+            job_gate.wait(); // the test has released its own handle
+            drop(owner);
+            // left: the test's handle and this (detached) worker's
+            tx.send(workers_alive.strong_count()).unwrap();
+        }));
+        drop(pool);
+        gate.wait();
+        let holders = rx.recv_timeout(Duration::from_secs(10)).unwrap();
+        assert_eq!(holders, 2, "every other worker was joined");
+        // the detached worker exits once its job returns
+        let deadline = Instant::now() + Duration::from_secs(10);
+        while Arc::strong_count(&gauges) > 1 {
+            assert!(Instant::now() < deadline, "detached worker never exited");
+            std::thread::sleep(Duration::from_millis(1));
+        }
+        assert_eq!(gauges.panics.load(Ordering::Relaxed), 0);
     }
 
     #[test]

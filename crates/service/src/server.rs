@@ -14,8 +14,14 @@
 //! `ic_accept_errors_total` in `METRICS`), logged rate-limited, and
 //! absorbed with a short exponential backoff; the loop keeps accepting.
 //! Only errors that mean the listener itself is gone return.
+//!
+//! Every served stream has `TCP_NODELAY` set, and each reply leaves in
+//! one write. A reply split across two writes (say, a large body and
+//! then its newline) lets Nagle's algorithm hold the second part until
+//! the peer acknowledges the first, and a peer that delays its ACKs
+//! leaves that reply waiting about 40 ms.
 
-use std::io::{self, BufRead, BufReader, BufWriter, Read, Write};
+use std::io::{self, BufRead, BufReader, Read, Write};
 use std::net::{TcpListener, TcpStream};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
@@ -233,9 +239,10 @@ pub fn handle_connection_with(
     options: ServerOptions,
 ) -> io::Result<()> {
     stream.set_read_timeout(options.idle_timeout)?;
+    stream.set_nodelay(true)?;
     let mut reader = BufReader::new(stream.try_clone()?);
-    let mut writer = BufWriter::new(stream);
-    if !send_line(&mut writer, svc, &format!("OK ic-service ready; {HELP}")) {
+    let mut writer = stream;
+    if !send_line(&mut writer, svc, format!("OK ic-service ready; {HELP}")) {
         return Ok(());
     }
     let mut buf: Vec<u8> = Vec::new();
@@ -247,7 +254,7 @@ pub fn handle_connection_with(
                 if !send_line(
                     &mut writer,
                     svc,
-                    &format!("ERR line exceeds {MAX_LINE_BYTES} bytes"),
+                    format!("ERR line exceeds {MAX_LINE_BYTES} bytes"),
                 ) {
                     return Ok(());
                 }
@@ -257,7 +264,7 @@ pub fn handle_connection_with(
         }
         let line = String::from_utf8_lossy(&buf);
         let reply = handle_line(svc, &line);
-        if !reply.is_empty() && !send_line(&mut writer, svc, &reply) {
+        if !reply.is_empty() && !send_line(&mut writer, svc, reply) {
             return Ok(());
         }
         if line.trim().eq_ignore_ascii_case("QUIT") {
@@ -267,13 +274,14 @@ pub fn handle_connection_with(
     Ok(())
 }
 
-/// Writes one reply line and flushes it. A failed write means the
-/// client is gone mid-response: it is counted (`write_errors` in
-/// `STATS`, `ic_write_errors_total` in `METRICS`) and reported as
-/// `false` so the caller closes the connection cleanly instead of
-/// surfacing a spurious connection error.
-fn send_line(writer: &mut BufWriter<TcpStream>, svc: &Arc<Service>, text: &str) -> bool {
-    match writeln!(writer, "{text}").and_then(|()| writer.flush()) {
+/// Writes one reply line, newline included, in a single `write_all`.
+/// A failed write means the client is gone mid-response: it is counted
+/// (`write_errors` in `STATS`, `ic_write_errors_total` in `METRICS`) and
+/// reported as `false` so the caller closes the connection cleanly
+/// instead of surfacing a spurious connection error.
+fn send_line(writer: &mut TcpStream, svc: &Arc<Service>, mut text: String) -> bool {
+    text.push('\n');
+    match writer.write_all(text.as_bytes()) {
         Ok(()) => true,
         Err(_) => {
             svc.record_write_error();
@@ -369,19 +377,17 @@ pub fn serve_metrics(listener: TcpListener, svc: Arc<Service>) -> io::Result<()>
 }
 
 /// Answers one scrape: read (and discard) a bounded request head, write
-/// the exposition body, close.
+/// the response in one write, close.
 pub fn handle_scrape(mut stream: TcpStream, svc: &Arc<Service>) -> io::Result<()> {
+    stream.set_nodelay(true)?;
     let mut head = [0u8; 4096];
     let _ = stream.read(&mut head)?;
     let body = svc.metrics_text();
-    let mut writer = BufWriter::new(stream);
-    if let Err(e) = write!(
-        writer,
+    let response = format!(
         "HTTP/1.0 200 OK\r\nContent-Type: text/plain; version=0.0.4\r\nContent-Length: {}\r\nConnection: close\r\n\r\n{body}",
         body.len()
-    )
-    .and_then(|()| writer.flush())
-    {
+    );
+    if let Err(e) = stream.write_all(response.as_bytes()) {
         // the scraper hung up mid-body: its loss, but count the
         // undelivered write before propagating
         svc.record_write_error();
@@ -411,7 +417,7 @@ mod tests {
     use crate::service::ServiceConfig;
     use ic_graph::paper::figure3;
     use std::collections::VecDeque;
-    use std::io::BufRead;
+    use std::io::BufWriter;
     use std::sync::Mutex;
 
     /// End-to-end over a real socket: boot a listener on an ephemeral
@@ -812,6 +818,56 @@ mod tests {
             "half-open mid-line client must be closed, got {line:?}"
         );
         assert_eq!(svc.stats().queries, before, "partial line never executed");
+    }
+
+    /// A reply over 8 KiB must leave in one write: sent as the body and
+    /// then its newline, Nagle holds the newline until the client's
+    /// delayed ACK arrives, about 44 ms per round trip. The client keeps
+    /// Nagle and delayed ACK at their defaults, as most clients do.
+    #[test]
+    fn large_reply_does_not_wait_for_the_delayed_ack() {
+        let svc = test_service();
+        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+        let addr = listener.local_addr().unwrap();
+        let svc_for_server = Arc::clone(&svc);
+        std::thread::spawn(move || {
+            let (stream, _) = listener.accept().unwrap();
+            let _ = handle_connection(stream, &svc_for_server);
+        });
+
+        let mut client = TcpStream::connect(addr).unwrap();
+        let mut reader = BufReader::new(client.try_clone().unwrap());
+        let mut line = String::new();
+        reader.read_line(&mut line).unwrap(); // banner
+        client.write_all(b"GEN g gnm 2000 8000 7\n").unwrap();
+        line.clear();
+        reader.read_line(&mut line).unwrap();
+        assert!(line.starts_with("OK "), "{line}");
+
+        let mut query = || {
+            let start = Instant::now();
+            client.write_all(b"QUERY g 3 16\n").unwrap();
+            let mut bytes = 0;
+            loop {
+                line.clear();
+                bytes += reader.read_line(&mut line).unwrap();
+                assert!(!line.is_empty() && !line.starts_with("ERR"), "{line}");
+                if line.trim() == "END" {
+                    break;
+                }
+            }
+            (bytes, start.elapsed())
+        };
+        // the first run searches; the timed ones are served from the cache
+        let (bytes, _) = query();
+        assert!(bytes > 8 * 1024, "reply is only {bytes} bytes");
+        let mut times: Vec<Duration> = (0..5).map(|_| query().1).collect();
+        times.sort();
+        assert!(
+            times[2] < Duration::from_millis(20),
+            "median round trip {:?} (all {times:?})",
+            times[2]
+        );
     }
 
     /// A client that asks for large replies and hangs up without reading
