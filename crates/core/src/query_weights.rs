@@ -6,16 +6,20 @@
 //! Because LocalSearch is index-free, supporting an ad-hoc weight vector
 //! only requires re-ranking the vertices for the query: we compute the
 //! multi-source BFS distance `d(v)` from the query set, weight every
-//! vertex `1 / (1 + d(v))` (unreachable vertices get weight 0), rebuild
-//! the weight-sorted view, and run the unchanged framework. The rebuild is
-//! `O(n + m)` — the one-off cost the paper's index-based competitors
-//! cannot avoid *per weight vector*, and exactly why the paper argues
-//! online search is the right regime for this workload.
+//! vertex `1 / (1 + d(v))` (unreachable vertices get weight 0), re-rank
+//! the weight-sorted view with [`WeightedGraph::reranked`], and run the
+//! unchanged framework. The re-rank sorts the vertices once and relabels
+//! every adjacency list in place of a full edge-list rebuild, and the
+//! permutation it returns translates each community member back to the
+//! original ranks in O(1). That one-off cost is what the paper's
+//! index-based competitors cannot avoid *per weight vector*, and exactly
+//! why the paper argues online search is the right regime for this
+//! workload.
 
 use crate::community::Community;
 use crate::local_search::LocalSearch;
 use crate::query::{QueryError, TopKQuery};
-use ic_graph::{GraphBuilder, Rank, WeightedGraph};
+use ic_graph::{Rank, WeightedGraph};
 
 /// Result of a closest-community query.
 #[derive(Debug)]
@@ -106,22 +110,16 @@ pub fn closest_top_k(g: &WeightedGraph, query: &[Rank], gamma: u32, k: usize) ->
 
 fn closest_impl(g: &WeightedGraph, query: &[Rank], q: &TopKQuery) -> ClosestResult {
     let distances = bfs_distances(g, query);
-    // Rebuild the weight-sorted view under the ad-hoc weights. External
-    // ids are reused so results translate back to the caller's ids; ties
-    // at equal distance are broken by external id as usual.
-    let mut b = GraphBuilder::with_capacity(g.m());
-    for r in 0..g.n() as Rank {
-        let w = match distances[r as usize] {
+    // Re-rank the weight-sorted view under the ad-hoc weights; ties at
+    // equal distance are broken by external id as usual.
+    let weights: Vec<f64> = distances
+        .iter()
+        .map(|&d| match d {
             u32::MAX => 0.0,
             d => 1.0 / (1.0 + d as f64),
-        };
-        b.set_weight(g.external_id(r), w);
-        b.add_vertex(g.external_id(r));
-    }
-    for (a, bb) in g.edges() {
-        b.add_edge(g.external_id(a), g.external_id(bb));
-    }
-    let gq = b.build().expect("reweighted graph is well formed");
+        })
+        .collect();
+    let (gq, original) = g.reranked(&weights, &[]);
 
     let res =
         LocalSearch::with_options(q.local_search_options()).run(&gq, q.gamma_value(), q.k_value());
@@ -130,14 +128,8 @@ fn closest_impl(g: &WeightedGraph, query: &[Rank], q: &TopKQuery) -> ClosestResu
         .communities
         .into_iter()
         .map(|c| {
-            let mut members: Vec<Rank> = c
-                .members
-                .iter()
-                .map(|&rq| {
-                    g.rank_of_external(gq.external_id(rq))
-                        .expect("same vertex set")
-                })
-                .collect();
+            let mut members: Vec<Rank> =
+                c.members.iter().map(|&rq| original[rq as usize]).collect();
             members.sort_unstable();
             let keynode = *members
                 .iter()

@@ -14,10 +14,12 @@
 //!   from-scratch registration, much better when churn is local).
 //! * Queries keep running against the last committed snapshot;
 //!   [`DynamicGraph::commit`] compacts the mutable state into a fresh
-//!   CSR [`WeightedGraph`] — splicing only dirty adjacency lists when
-//!   pure edge churn left the rank space intact — and returns it with
-//!   registration-grade [`GraphStats`] whose degeneracy comes from the
-//!   tracker, not from the per-registration core recompute.
+//!   CSR [`WeightedGraph`] — re-ranking the previous snapshot, rewriting
+//!   only dirty adjacency lists, whenever the vertex set is unchanged;
+//!   only vertex adds and removals rebuild from scratch —
+//!   and returns it with registration-grade [`GraphStats`] whose
+//!   degeneracy comes from the tracker, not from the per-registration
+//!   core recompute.
 //!
 //! Between commits the published snapshot's planning statistics go stale;
 //! [`DynamicGraph::stale_core_fraction`] quantifies exactly how stale
@@ -151,18 +153,17 @@ pub struct DynamicGraph {
     snapshot: Arc<WeightedGraph>,
     /// Statistics of `snapshot` as of its commit.
     snapshot_stats: GraphStats,
-    /// External id → rank in `snapshot` (the patch path's translation).
+    /// External id → rank in `snapshot` (the re-rank path's translation).
     rank_of: VertexMap<Rank>,
     /// Vertices whose core numbers the maintenance touched since the last
     /// commit — the numerator of [`DynamicGraph::stale_core_fraction`].
     touched: VertexSet,
     /// Vertices whose adjacency changed since the last commit (the only
-    /// lists the patch-path commit must rewrite).
+    /// lists the re-rank commit must rewrite).
     dirty_adj: VertexSet,
-    /// True when the snapshot's *rank space* is stale too — a vertex was
-    /// added or removed, or a weight changed — forcing the full
-    /// sort-and-relabel rebuild instead of the adjacency patch.
-    rank_space_dirty: bool,
+    /// True when a vertex was added or removed since the last commit,
+    /// forcing the full sort-and-relabel rebuild instead of the re-rank.
+    vertex_set_dirty: bool,
     /// Updates accepted since the last commit.
     pending: u64,
     /// Visited-counter value at the last commit (for per-commit deltas).
@@ -219,7 +220,7 @@ impl DynamicGraph {
             rank_of,
             touched: VertexSet::default(),
             dirty_adj: VertexSet::default(),
-            rank_space_dirty: false,
+            vertex_set_dirty: false,
             pending: 0,
             visited_at_commit: 0,
             maintenance_budget: DEFAULT_MAINTENANCE_BUDGET,
@@ -484,7 +485,7 @@ impl DynamicGraph {
         self.adj.insert(v, Vec::new());
         self.tracker.add_vertex(v);
         self.touched.insert(v);
-        self.rank_space_dirty = true;
+        self.vertex_set_dirty = true;
         self.pending += 1;
         Ok(())
     }
@@ -509,7 +510,7 @@ impl DynamicGraph {
         self.adj.remove(&v);
         self.tracker.remove_vertex(v);
         self.touched.insert(v);
-        self.rank_space_dirty = true;
+        self.vertex_set_dirty = true;
         self.pending += 1;
         Ok(())
     }
@@ -524,7 +525,6 @@ impl DynamicGraph {
         match self.weights.get_mut(&v) {
             Some(slot) => {
                 *slot = weight;
-                self.rank_space_dirty = true;
                 self.pending += 1;
                 Ok(())
             }
@@ -539,13 +539,16 @@ impl DynamicGraph {
     /// rebuilding. Statistics are assembled in O(n): the degeneracy comes
     /// from the tracker, never from a full peel.
     ///
-    /// Compaction takes one of two routes. Pure edge churn leaves the
-    /// weight order — and therefore the entire rank space — of the
-    /// previous snapshot intact, so the new CSR is produced by splicing
-    /// only the dirty adjacency lists into a linear copy
-    /// ([`WeightedGraph::with_patched_adjacency`]). Only when a vertex
-    /// was added or removed or a weight changed does commit fall back to
-    /// the full sort-and-relabel [`GraphBuilder`] rebuild.
+    /// Compaction takes one of two routes. While the vertex set is
+    /// unchanged — edge churn, reweights, or both — the previous
+    /// snapshot is re-ranked ([`WeightedGraph::reranked`]): only the
+    /// reweighted vertices are sorted into the old order, only the dirty
+    /// adjacency lists are rebuilt, and only vertices whose rank moved
+    /// get a new entry in the rank translation. That costs O(n + m) plus
+    /// sorting the reweighted ranks and the lists they disorder. Only a
+    /// vertex add or removal falls back to the full sort-and-relabel
+    /// [`GraphBuilder`] rebuild. Both routes produce the same snapshot,
+    /// bit for bit.
     pub fn commit(&mut self) -> CommitReceipt {
         let visited_delta = self.tracker.stats().visited - self.visited_at_commit;
         if self.pending == 0 {
@@ -557,7 +560,7 @@ impl DynamicGraph {
                 refreshed_cores: false,
             };
         }
-        let graph = if self.rank_space_dirty {
+        let graph = if self.vertex_set_dirty {
             let mut b = GraphBuilder::with_capacity(self.m);
             for (&v, &w) in &self.weights {
                 b.set_weight(v, w);
@@ -576,17 +579,26 @@ impl DynamicGraph {
                 .collect();
             graph
         } else {
+            let weights: Vec<f64> = (0..self.snapshot.n() as Rank)
+                .map(|r| self.weights[&self.snapshot.external_id(r)])
+                .collect();
             let patches: Vec<(Rank, Vec<Rank>)> = self
                 .dirty_adj
                 .iter()
                 .map(|v| {
-                    let r = self.rank_of[v];
-                    let mut list: Vec<Rank> = self.adj[v].iter().map(|x| self.rank_of[x]).collect();
-                    list.sort_unstable();
-                    (r, list)
+                    (
+                        self.rank_of[v],
+                        self.adj[v].iter().map(|x| self.rank_of[x]).collect(),
+                    )
                 })
                 .collect();
-            Arc::new(self.snapshot.with_patched_adjacency(&patches))
+            let (graph, old_rank) = self.snapshot.reranked(&weights, &patches);
+            for (r, &old) in old_rank.iter().enumerate() {
+                if r as Rank != old {
+                    self.rank_of.insert(graph.external_id(r as Rank), r as Rank);
+                }
+            }
+            Arc::new(graph)
         };
         // If some op went over budget, pay the one linear peel now —
         // still far cheaper than the per-op maintenance it replaced, and
@@ -603,7 +615,7 @@ impl DynamicGraph {
         self.snapshot_stats = stats;
         self.touched.clear();
         self.dirty_adj.clear();
-        self.rank_space_dirty = false;
+        self.vertex_set_dirty = false;
         self.pending = 0;
         self.visited_at_commit = self.tracker.stats().visited;
         CommitReceipt {

@@ -21,7 +21,10 @@
 //!   CSR snapshot plus registration-grade [`ic_graph::GraphStats`] — the
 //!   algorithms in `ic-core` run on it unchanged, and `ic-service` swaps
 //!   it into its registry under a new generation, which invalidates the
-//!   result cache for free.
+//!   result cache for free. Edge churn and reweights re-rank the previous
+//!   snapshot in O(n + m) plus sorting the reweighted vertices, as the
+//!   paper's index-free design allows for a new weight vector; only
+//!   vertex adds and removals pay the full sort-and-relabel rebuild.
 //! * [`DynamicGraph::stale_core_fraction`] quantifies how far the
 //!   published snapshot's planning statistics have drifted from the live
 //!   state, a signal the service planner folds into its dispatch rules.

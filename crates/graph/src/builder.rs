@@ -3,7 +3,7 @@
 use std::collections::HashMap;
 use std::fmt;
 
-use crate::graph::{Rank, WeightedGraph};
+use crate::graph::{rank_order, Rank, WeightedGraph};
 
 /// Errors arising while assembling a graph.
 #[derive(Debug, Clone, PartialEq)]
@@ -136,13 +136,8 @@ impl GraphBuilder {
             weighted.push((w, v));
         }
 
-        // Rank by (weight desc, id asc): sort by (weight asc, id desc) and reverse.
-        weighted.sort_unstable_by(|a, b| {
-            a.0.partial_cmp(&b.0)
-                .expect("weights are finite")
-                .then(b.1.cmp(&a.1))
-        });
-        weighted.reverse();
+        // Rank by (weight desc, id asc).
+        weighted.sort_unstable_by(|&a, &b| rank_order(a, b));
 
         let n = weighted.len();
         let mut ext_ids = Vec::with_capacity(n);

@@ -112,12 +112,16 @@ pub fn barabasi_albert(n: usize, d: usize, seed: u64) -> Vec<(u32, u32)> {
             pool.push(v);
         }
     }
-    let mut targets = std::collections::HashSet::with_capacity(d);
+    // targets in draw order: the order they join the pool decides every
+    // later draw, so it must not depend on a per-process hash seed
+    let mut targets: Vec<u32> = Vec::with_capacity(d);
     for v in (d + 1) as u32..n as u32 {
         targets.clear();
         while targets.len() < d {
             let t = pool[rng.gen_index(pool.len())];
-            targets.insert(t);
+            if !targets.contains(&t) {
+                targets.push(t);
+            }
         }
         for &t in &targets {
             edges.push((t.min(v), t.max(v)));
@@ -325,6 +329,12 @@ mod tests {
     fn gnm_deterministic() {
         assert_eq!(gnm(50, 100, 9), gnm(50, 100, 9));
         assert_ne!(gnm(50, 100, 9), gnm(50, 100, 10));
+    }
+
+    #[test]
+    fn ba_deterministic() {
+        assert_eq!(barabasi_albert(500, 4, 9), barabasi_albert(500, 4, 9));
+        assert_ne!(barabasi_albert(500, 4, 9), barabasi_albert(500, 4, 10));
     }
 
     #[test]

@@ -14,8 +14,19 @@
 //! list prefix of ranks smaller than the vertex's own, and the neighbors
 //! inside any rank prefix `0..t` are the list prefix of ranks `< t`.
 
+use std::cmp::Ordering;
+
 /// A vertex identifier in *rank space*: `0` is the highest-weight vertex.
 pub type Rank = u32;
+
+/// The rank order on `(weight, external id)` pairs: weight descending,
+/// then external id ascending. The id tie-break realizes the paper's
+/// distinct-weight assumption deterministically. Weights must be finite.
+pub(crate) fn rank_order(a: (f64, u64), b: (f64, u64)) -> Ordering {
+    b.0.partial_cmp(&a.0)
+        .expect("weights are finite")
+        .then(a.1.cmp(&b.1))
+}
 
 /// Immutable vertex-weighted undirected graph in CSR form.
 ///
@@ -162,58 +173,101 @@ impl WeightedGraph {
         *self.weights.first().expect("graph must be non-empty")
     }
 
-    /// Builds a new graph identical to `self` except that the adjacency
-    /// lists of the ranks named in `patches` are replaced. The vertex
-    /// set, weights, and therefore the entire rank order are unchanged —
-    /// this is the compaction fast path for pure *edge* churn, costing
-    /// one linear copy instead of the full sort-and-relabel of
-    /// [`crate::GraphBuilder`].
+    /// Re-ranks the same vertex set under new weights, replacing the
+    /// adjacency lists named in `patches` on the way. It reuses the old
+    /// order in place of a [`crate::GraphBuilder`] rebuild's edge hashing
+    /// and sorting, and is bit-identical to that rebuild (ranks, weights,
+    /// lists, `N≥` lengths).
     ///
-    /// Each patch list must be sorted ascending by rank, free of self
-    /// loops and duplicates, and the patch set must keep the edge
-    /// relation symmetric (an edge change always patches both
-    /// endpoints); violations are caught by a debug assertion.
-    pub fn with_patched_adjacency(&self, patches: &[(Rank, Vec<Rank>)]) -> WeightedGraph {
+    /// `weights[r]` is the new weight of old rank `r`. A patch
+    /// `(r, list)` replaces the adjacency of old rank `r` with `list`,
+    /// whose entries are old ranks in any order, free of self loops and
+    /// duplicates; the patch set must keep the edge relation symmetric
+    /// (an edge change patches both endpoints). Violations are caught by
+    /// a debug assertion.
+    ///
+    /// Ranks whose weight is unchanged are still in rank order, so only
+    /// the reweighted ranks are sorted (weight descending, then external
+    /// id ascending, as the builder ranks) and merged into the rest in
+    /// one pass. Each list is then mapped through the old-to-new rank
+    /// array and re-sorted only if a moved vertex broke its order. The
+    /// cost is O(n + m) plus sorting the `k` reweighted ranks
+    /// (O(k log k)) and the lists they disorder. When every weight
+    /// changes, as for a query-dependent weight vector, that is
+    /// O(n log n + m log d) at worst, `d` the largest degree.
+    ///
+    /// Returns the new graph and, for each new rank, its old rank.
+    ///
+    /// # Panics
+    ///
+    /// If `weights.len() != self.n()`, a reweighted weight is not finite,
+    /// or a patch names a rank out of range.
+    pub fn reranked(
+        &self,
+        weights: &[f64],
+        patches: &[(Rank, Vec<Rank>)],
+    ) -> (WeightedGraph, Vec<Rank>) {
         let n = self.n();
+        assert_eq!(weights.len(), n, "one weight per rank");
+        let key = |r: Rank| (weights[r as usize], self.ext_ids[r as usize]);
+        let changed = |r: Rank| weights[r as usize].to_bits() != self.weights[r as usize].to_bits();
+        let mut moved: Vec<Rank> = (0..n as Rank).filter(|&r| changed(r)).collect();
+        assert!(
+            moved.iter().all(|&r| weights[r as usize].is_finite()),
+            "weights are finite"
+        );
+        moved.sort_unstable_by(|&a, &b| rank_order(key(a), key(b)));
+        let mut new_to_old: Vec<Rank> = Vec::with_capacity(n);
+        let mut moved = moved.into_iter().peekable();
+        for r in (0..n as Rank).filter(|&r| !changed(r)) {
+            while let Some(m) = moved.next_if(|&m| rank_order(key(m), key(r)).is_lt()) {
+                new_to_old.push(m);
+            }
+            new_to_old.push(r);
+        }
+        new_to_old.extend(moved);
+        let mut old_to_new: Vec<Rank> = vec![0; n];
+        for (new, &old) in new_to_old.iter().enumerate() {
+            old_to_new[old as usize] = new as Rank;
+        }
+
         let mut patch_of: Vec<Option<&[Rank]>> = vec![None; n];
         for (r, list) in patches {
             patch_of[*r as usize] = Some(list.as_slice());
         }
+        let list_of = |old: Rank| patch_of[old as usize].unwrap_or_else(|| self.neighbors(old));
         let mut offsets = Vec::with_capacity(n + 1);
         offsets.push(0usize);
         let mut acc = 0usize;
-        for (r, patch) in patch_of.iter().enumerate() {
-            acc += match patch {
-                Some(list) => list.len(),
-                None => self.offsets[r + 1] - self.offsets[r],
-            };
+        for &old in &new_to_old {
+            acc += list_of(old).len();
             offsets.push(acc);
         }
         let mut adj = Vec::with_capacity(acc);
         let mut higher_len = Vec::with_capacity(n);
-        for (r, patch) in patch_of.iter().enumerate() {
-            match patch {
-                Some(list) => {
-                    adj.extend_from_slice(list);
-                    higher_len.push(list.partition_point(|&x| (x as usize) < r) as u32);
-                }
-                None => {
-                    adj.extend_from_slice(self.neighbors(r as Rank));
-                    higher_len.push(self.higher_len[r]);
-                }
+        for (new, &old) in new_to_old.iter().enumerate() {
+            let start = adj.len();
+            adj.extend(list_of(old).iter().map(|&x| old_to_new[x as usize]));
+            let list = &mut adj[start..];
+            if !list.is_sorted() {
+                list.sort_unstable();
             }
+            higher_len.push(list.partition_point(|&x| (x as usize) < new) as u32);
         }
         debug_assert_eq!(acc % 2, 0, "patched edge relation must stay symmetric");
         let g = WeightedGraph {
             offsets,
             adj,
             higher_len,
-            weights: self.weights.clone(),
-            ext_ids: self.ext_ids.clone(),
+            weights: new_to_old.iter().map(|&r| weights[r as usize]).collect(),
+            ext_ids: new_to_old
+                .iter()
+                .map(|&r| self.ext_ids[r as usize])
+                .collect(),
             m: acc / 2,
         };
         debug_assert_eq!(g.validate(), Ok(()));
-        g
+        (g, new_to_old)
     }
 
     /// Internal consistency check used by tests and debug assertions:
@@ -255,8 +309,9 @@ impl WeightedGraph {
 
 #[cfg(test)]
 mod tests {
-
+    use super::*;
     use crate::paper::figure1;
+    use crate::GraphBuilder;
 
     #[test]
     fn figure1_shape() {
@@ -330,63 +385,127 @@ mod tests {
         }
     }
 
-    #[test]
-    fn patched_adjacency_equals_rebuilt_graph() {
-        use crate::GraphBuilder;
-        let g = figure1();
-        // remove edge (0, 1) and add edge (0, 9) — in rank space
-        let drop = (0u32, 1u32);
-        let add = (0u32, 9u32);
-        let mut lists: Vec<Vec<u32>> = (0..g.n() as u32).map(|r| g.neighbors(r).to_vec()).collect();
-        for (a, b) in [(drop.0, drop.1), (drop.1, drop.0)] {
-            let pos = lists[a as usize].binary_search(&b).unwrap();
-            lists[a as usize].remove(pos);
-        }
-        for (a, b) in [(add.0, add.1), (add.1, add.0)] {
-            let pos = lists[a as usize].binary_search(&b).unwrap_err();
-            lists[a as usize].insert(pos, b);
-        }
-        let patches: Vec<(u32, Vec<u32>)> = [drop.0, drop.1, add.1]
-            .iter()
-            .map(|&r| (r, lists[r as usize].clone()))
+    /// The builder's graph over `g`'s vertex set under `weights` (indexed
+    /// by old rank), with the patched lists (old ranks) in place.
+    fn rebuilt(g: &WeightedGraph, weights: &[f64], patches: &[(Rank, Vec<Rank>)]) -> WeightedGraph {
+        let mut lists: Vec<Vec<Rank>> = (0..g.n() as Rank)
+            .map(|r| g.neighbors(r).to_vec())
             .collect();
-        let patched = g.with_patched_adjacency(&patches);
-        patched.validate().unwrap();
-        assert_eq!(patched.m(), g.m());
-        assert!(!patched.has_edge(drop.0, drop.1));
-        assert!(patched.has_edge(add.0, add.1));
-        // identical to a from-scratch rebuild of the same edge set
-        let mut b = GraphBuilder::new();
-        for r in 0..g.n() as u32 {
-            b.set_weight(g.external_id(r), g.weight(r));
-            b.add_vertex(g.external_id(r));
+        for (r, list) in patches {
+            lists[*r as usize] = list.clone();
         }
-        for r in 0..patched.n() as u32 {
-            for &x in patched.neighbors(r) {
-                if r < x {
-                    b.add_edge(patched.external_id(r), patched.external_id(x));
-                }
+        let mut b = GraphBuilder::new();
+        for (r, list) in lists.iter().enumerate() {
+            let v = g.external_id(r as Rank);
+            b.set_weight(v, weights[r]);
+            b.add_vertex(v);
+            for &x in list {
+                b.add_edge(v, g.external_id(x));
             }
         }
-        let rebuilt = b.build().unwrap();
-        assert_eq!(rebuilt.n(), patched.n());
-        assert_eq!(rebuilt.m(), patched.m());
-        for r in 0..patched.n() as u32 {
-            assert_eq!(rebuilt.neighbors(r), patched.neighbors(r));
-            assert_eq!(rebuilt.weight(r), patched.weight(r));
-            assert_eq!(rebuilt.external_id(r), patched.external_id(r));
+        b.build().unwrap()
+    }
+
+    /// Re-ranks `g` and checks the result field by field against the
+    /// builder, and the returned permutation against the external ids.
+    fn assert_reranks_like_rebuild(
+        g: &WeightedGraph,
+        weights: &[f64],
+        patches: &[(Rank, Vec<Rank>)],
+    ) -> WeightedGraph {
+        let (got, to_old) = g.reranked(weights, patches);
+        let want = rebuilt(g, weights, patches);
+        got.validate().unwrap();
+        assert_eq!(got.ext_ids, want.ext_ids, "rank order");
+        let bits = |w: &[f64]| w.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+        assert_eq!(bits(&got.weights), bits(&want.weights), "weights");
+        assert_eq!(got.offsets, want.offsets, "offsets");
+        assert_eq!(got.adj, want.adj, "adjacency");
+        assert_eq!(got.higher_len, want.higher_len, "N≥ lengths");
+        assert_eq!(got.m, want.m, "edge count");
+        assert_eq!(to_old.len(), g.n());
+        for (new, &old) in to_old.iter().enumerate() {
+            assert_eq!(got.external_id(new as Rank), g.external_id(old));
+        }
+        got
+    }
+
+    /// Figure 1's weights (rank `r` weighs `19 - r`) with `changes`
+    /// applied, indexed by old rank.
+    fn figure1_weights(changes: &[(Rank, f64)]) -> Vec<f64> {
+        let g = figure1();
+        let mut w: Vec<f64> = (0..g.n() as Rank).map(|r| g.weight(r)).collect();
+        for &(r, x) in changes {
+            w[r as usize] = x;
+        }
+        w
+    }
+
+    #[test]
+    fn rerank_with_unchanged_weights_copies_and_patches() {
+        let g = figure1();
+        let same = figure1_weights(&[]);
+        let copy = assert_reranks_like_rebuild(&g, &same, &[]);
+        assert_eq!(copy.adj, g.adj);
+        assert_eq!(copy.higher_len, g.higher_len);
+        // remove edge (0, 1) and add edge (0, 9), in rank space; the
+        // patch of rank 9 comes unsorted
+        let without = |r: Rank, x: Rank| -> Vec<Rank> {
+            g.neighbors(r).iter().copied().filter(|&y| y != x).collect()
+        };
+        let patches = vec![
+            (0, [without(0, 1), vec![9]].concat()),
+            (1, without(1, 0)),
+            (9, [g.neighbors(9), &[0]].concat()),
+        ];
+        let patched = assert_reranks_like_rebuild(&g, &same, &patches);
+        assert_eq!(patched.m(), g.m());
+        assert!(!patched.has_edge(0, 1));
+        assert!(patched.has_edge(0, 9));
+    }
+
+    #[test]
+    fn rerank_moves_one_vertex_like_a_rebuild() {
+        let g = figure1();
+        for (r, w, lands) in [
+            (7, 17.5, 2),  // up, past five ranks
+            (1, 11.5, 7),  // down, past six ranks
+            (9, 100.0, 0), // to the top
+            (0, 1.0, 9),   // to the bottom
+        ] {
+            let re = assert_reranks_like_rebuild(&g, &figure1_weights(&[(r, w)]), &[]);
+            assert_eq!(re.external_id(lands), g.external_id(r), "rank {r} -> {w}");
         }
     }
 
     #[test]
-    fn empty_patch_set_is_a_plain_copy() {
+    fn rerank_breaks_exact_ties_by_external_id() {
         let g = figure1();
-        let copy = g.with_patched_adjacency(&[]);
-        copy.validate().unwrap();
-        assert_eq!(copy.m(), g.m());
-        for r in 0..g.n() as u32 {
-            assert_eq!(copy.neighbors(r), g.neighbors(r));
-        }
+        // v3 (rank 6) takes v7's weight 17 and, with the smaller id, goes
+        // first; v8 (rank 1) takes v5's weight 15 and goes after it
+        let re = assert_reranks_like_rebuild(&g, &figure1_weights(&[(6, 17.0), (1, 15.0)]), &[]);
+        let ids: Vec<u64> = (0..g.n() as Rank).map(|r| re.external_id(r)).collect();
+        assert_eq!(ids, vec![9, 3, 7, 6, 5, 8, 4, 2, 1, 0]);
+    }
+
+    #[test]
+    fn rerank_moves_every_rank_like_a_rebuild() {
+        let g = figure1();
+        // reversed order
+        let reversed: Vec<f64> = (0..g.n()).map(|r| r as f64).collect();
+        let re = assert_reranks_like_rebuild(&g, &reversed, &[]);
+        assert_eq!(re.external_id(0), g.external_id(9));
+        // closest-community shape: weights 1 / (1 + d) over a few
+        // distance layers, so whole layers tie and external ids order them
+        let closest: Vec<f64> = (0..g.n()).map(|r| 1.0 / (1.0 + (r % 3) as f64)).collect();
+        assert_reranks_like_rebuild(&g, &closest, &[]);
+        // a re-rank and an edge patch in one pass
+        let patches = vec![
+            (0, [g.neighbors(0), &[9]].concat()),
+            (9, [g.neighbors(9), &[0]].concat()),
+        ];
+        let re = assert_reranks_like_rebuild(&g, &closest, &patches);
+        assert_eq!(re.m(), g.m() + 1);
     }
 
     #[test]

@@ -3,8 +3,9 @@
 //! by the reciprocal of its BFS distance to the query set and search for
 //! the top influential communities *around the query*, as in closest
 //! community search. Because LocalSearch needs no index, an ad-hoc weight
-//! vector costs one O(n+m) re-rank — the regime where index-based
-//! approaches (which bake in a single weight vector) cannot compete.
+//! vector costs one re-rank, O(n log n + m log d) at worst — the regime
+//! where index-based approaches (which bake in a single weight vector)
+//! cannot compete.
 //!
 //! ```sh
 //! cargo run --release --example closest_communities

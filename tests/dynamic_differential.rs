@@ -5,11 +5,16 @@
 //! Each case drives a seeded random update stream (edge inserts/deletes,
 //! vertex adds/removals, reweights — 100+ accepted ops) against both a
 //! `DynamicGraph` and an independent shadow model (a plain edge set +
-//! weight map mutated by the same ops). After every `COMMIT`, the top-k
-//! answers from the committed snapshot must exactly equal the answers
-//! from a from-scratch `WeightedGraph` rebuild of the shadow, for
-//! γ ∈ {2, 3, 4} and k ∈ {1, 8, 64}, on both generator families the
+//! weight map mutated by the same ops). After every `COMMIT`, the
+//! committed snapshot must equal a from-scratch `WeightedGraph` rebuild
+//! of the shadow rank by rank (external ids, weight bits, neighbor lists,
+//! `N≥` sizes), and its top-k answers must exactly equal the rebuild's,
+//! for γ ∈ {2, 3, 4} and k ∈ {1, 8, 64}, on both generator families the
 //! serving suite uses (uniform G(n,m) and Barabási–Albert/PageRank).
+//!
+//! Streams with vertex adds and removals commit mostly through the full
+//! rebuild; the edge-and-weight streams keep the vertex set, so every one
+//! of their commits takes the linear-time re-rank route instead.
 
 use std::collections::{BTreeMap, BTreeSet};
 
@@ -65,6 +70,48 @@ impl Shadow {
         let keys: Vec<u64> = self.weights.keys().copied().collect();
         keys[rng.gen_index(keys.len())]
     }
+}
+
+/// Compares the incrementally produced snapshot with the from-scratch
+/// rebuild rank by rank.
+fn assert_same_snapshot(
+    inc: &WeightedGraph,
+    rebuilt: &WeightedGraph,
+    context: &str,
+) -> Result<(), TestCaseError> {
+    prop_assert_eq!(inc.n(), rebuilt.n(), "{}: vertex count", context);
+    prop_assert_eq!(inc.m(), rebuilt.m(), "{}: edge count", context);
+    for r in 0..inc.n() as u32 {
+        prop_assert_eq!(
+            inc.external_id(r),
+            rebuilt.external_id(r),
+            "{}: rank {} external id",
+            context,
+            r
+        );
+        prop_assert_eq!(
+            inc.weight(r).to_bits(),
+            rebuilt.weight(r).to_bits(),
+            "{}: rank {} weight",
+            context,
+            r
+        );
+        prop_assert_eq!(
+            inc.neighbors(r),
+            rebuilt.neighbors(r),
+            "{}: rank {} neighbors",
+            context,
+            r
+        );
+        prop_assert_eq!(
+            inc.higher_degree(r),
+            rebuilt.higher_degree(r),
+            "{}: rank {} higher degree",
+            context,
+            r
+        );
+    }
+    Ok(())
 }
 
 /// Compares every (γ, k) answer between the incrementally produced
@@ -130,6 +177,16 @@ fn assert_answers_match(
     Ok(())
 }
 
+/// Which updates a stream draws.
+#[derive(Debug, Clone, Copy, PartialEq)]
+enum Mix {
+    /// Edge inserts and deletes, vertex adds and removals, reweights.
+    All,
+    /// Edge inserts and deletes and reweights: the vertex set never
+    /// changes, so every commit takes the re-rank route.
+    EdgesAndWeights,
+}
+
 /// Drives `total_ops` accepted random updates against both models,
 /// committing (and differentially checking) every `commit_every` ops.
 fn drive(
@@ -138,6 +195,7 @@ fn drive(
     total_ops: usize,
     commit_every: usize,
     family: &str,
+    mix: Mix,
 ) -> Result<(), TestCaseError> {
     let mut shadow = Shadow::of(&start);
     let mut dg = DynamicGraph::new(start);
@@ -146,7 +204,11 @@ fn drive(
     let mut accepted = 0usize;
     let mut commits = 0usize;
     while accepted < total_ops {
-        let roll = rng.gen_range(100);
+        let mut roll = rng.gen_range(100);
+        let vertex_op = (78..86).contains(&roll) || roll >= 93;
+        if mix == Mix::EdgesAndWeights && vertex_op {
+            roll = 86; // a reweight instead
+        }
         let ok = if roll < 42 {
             // insert a fresh edge between existing vertices
             let u = shadow.vertex(&mut rng);
@@ -179,9 +241,14 @@ fn drive(
             shadow.weights.insert(v, w);
             true
         } else if roll < 93 {
-            // reweight an existing vertex
+            // reweight an existing vertex, a third of the time onto
+            // another vertex's exact weight so the id tie-break decides
             let v = shadow.vertex(&mut rng);
-            let w = 0.5 + rng.gen_f64() * 40.0;
+            let w = if rng.gen_range(3) == 0 {
+                shadow.weights[&shadow.vertex(&mut rng)]
+            } else {
+                0.5 + rng.gen_f64() * 40.0
+            };
             dg.reweight(v, w).expect("reweight accepted");
             shadow.weights.insert(v, w);
             true
@@ -205,6 +272,7 @@ fn drive(
             let receipt = dg.commit();
             let rebuilt = shadow.rebuild();
             let context = format!("{family} seed={seed} after {accepted} ops");
+            assert_same_snapshot(&receipt.graph, &rebuilt, &context)?;
             assert_answers_match(&receipt.graph, &rebuilt, &context)?;
             // commit-time stats must equal what a full recompute reports
             prop_assert_eq!(receipt.stats, graph_stats(&rebuilt), "{}: stats", context);
@@ -218,26 +286,31 @@ fn drive(
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(5))]
 
-    /// ≥120-op streams over uniform G(n,m) graphs.
+    /// ≥120-op streams of each mix over uniform G(n,m) graphs.
     #[test]
     fn gnm_streams_match_rebuild(seed in 0u64..10_000, density in 2usize..5) {
         let n = 120;
         let g = assemble(n, &gnm(n, n * density, seed), WeightKind::Uniform(seed ^ 0x5EED));
-        drive(g, seed.wrapping_mul(31).wrapping_add(7), 120, 24, "gnm")?;
+        drive(g.clone(), seed.wrapping_mul(31).wrapping_add(7), 120, 24, "gnm", Mix::All)?;
+        let seed = seed.wrapping_mul(29).wrapping_add(5);
+        drive(g, seed, 120, 24, "gnm edges+weights", Mix::EdgesAndWeights)?;
     }
 
-    /// ≥120-op streams over Barabási–Albert graphs with PageRank weights.
+    /// ≥120-op streams of each mix over Barabási–Albert graphs with
+    /// PageRank weights.
     #[test]
     fn barabasi_albert_streams_match_rebuild(seed in 0u64..10_000, d in 2usize..5) {
         let n = 140;
         let g = assemble(n, &barabasi_albert(n, d, seed), WeightKind::PageRank);
-        drive(g, seed.wrapping_mul(17).wrapping_add(3), 120, 24, "ba")?;
+        drive(g.clone(), seed.wrapping_mul(17).wrapping_add(3), 120, 24, "ba", Mix::All)?;
+        let seed = seed.wrapping_mul(13).wrapping_add(1);
+        drive(g, seed, 120, 24, "ba edges+weights", Mix::EdgesAndWeights)?;
     }
 }
 
 /// The same differential guarantee holds through the serving stack: a
-/// protocol-driven UPDATE/COMMIT stream answers exactly like a rebuilt
-/// graph registered from scratch.
+/// service-level UPDATE/COMMIT stream of edge toggles and reweights
+/// answers exactly like a rebuilt graph registered from scratch.
 #[test]
 fn service_update_stream_matches_rebuild() {
     use influential_communities::service::{Query, Service, ServiceConfig};
@@ -261,7 +334,16 @@ fn service_update_stream_matches_rebuild() {
             continue;
         }
         let key = (u.min(v), u.max(v));
-        let op = if shadow.edges.contains(&key) {
+        let op = if rng.gen_range(4) == 0 {
+            // REWEIGHT, half the time onto v's exact weight
+            let weight = if rng.gen_range(2) == 0 {
+                shadow.weights[&v]
+            } else {
+                0.5 + rng.gen_f64() * 40.0
+            };
+            shadow.weights.insert(u, weight);
+            influential_communities::dynamic::UpdateOp::Reweight { v: u, weight }
+        } else if shadow.edges.contains(&key) {
             shadow.edges.remove(&key);
             influential_communities::dynamic::UpdateOp::DeleteEdge { u, v }
         } else {

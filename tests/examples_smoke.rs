@@ -1,7 +1,10 @@
 //! Keeps the examples honest: every example must compile, and the
 //! examples exercised in the docs (`quickstart`, `progressive_stream`,
-//! `service_demo`) must run to completion. Without this harness an API change can silently
-//! rot `examples/` because `cargo test` alone never builds them.
+//! `service_demo`, `dynamic_updates`) must run to completion, as must
+//! `closest_communities`, which asserts that each query recovers its
+//! planted group through the query-dependent re-rank. Without this
+//! harness an API change can silently rot `examples/` because
+//! `cargo test` alone never builds them.
 
 use std::path::Path;
 use std::process::Command;
@@ -44,6 +47,11 @@ fn service_demo_runs_to_completion() {
 #[test]
 fn dynamic_updates_runs_to_completion() {
     run_ok(&["run", "--quiet", "--example", "dynamic_updates"]);
+}
+
+#[test]
+fn closest_communities_runs_to_completion() {
+    run_ok(&["run", "--quiet", "--example", "closest_communities"]);
 }
 
 #[test]
