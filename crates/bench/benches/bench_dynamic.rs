@@ -1,18 +1,18 @@
 //! Dynamic updates vs full rebuild: the cost of reflecting a churn batch
 //! and then answering one query, measured both ways on the Small suite.
 //!
-//! * **update-then-query** — apply the batch to a [`DynamicGraph`]
-//!   (incremental core maintenance), `commit` (CSR compaction, stats from
-//!   maintained cores), then run LocalSearch on the snapshot.
+//! * **update-then-query** — apply the batch to a [`DynamicGraph`],
+//!   `commit` (re-rank the previous snapshot, rewriting only the dirty
+//!   adjacency lists, then one core peel for the stats), then run
+//!   LocalSearch on the snapshot.
 //! * **rebuild-then-query** — what a deployment without `ic-dynamic`
 //!   does: apply the batch to a plain edge set, rebuild the CSR graph
 //!   from scratch, recompute registration statistics (including the full
 //!   core decomposition), then run the same query.
 //!
-//! Both sides pay the same CSR construction and the same query; the
-//! incremental side replaces the global core peel with subcore
-//! traversals proportional to the churn. The acceptance bar for the
-//! dynamic subsystem is update-then-query winning at ≤ 5% churn.
+//! Both sides pay one core peel and the same query; they differ in how
+//! the CSR snapshot is produced — a linear re-rank of the previous one
+//! against a from-scratch sort-and-relabel build.
 //!
 //! Churn batches are 50% deletions of random present edges and 50%
 //! insertions of random absent edges, sized as a fraction (1% / 5% /

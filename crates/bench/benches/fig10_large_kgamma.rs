@@ -1,5 +1,5 @@
 //! Figure 10: Forward vs LocalSearch-P at large k and γ (sweep scaled to
-//! the stand-ins' degeneracy; see DESIGN.md §3).
+//! the stand-ins' degeneracy).
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use ic_bench::{dataset, Scale};

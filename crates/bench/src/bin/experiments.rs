@@ -213,7 +213,7 @@ fn fig9(scale: Scale, runs: usize) {
 
 /// Figure 10: large k and γ on the two highest-degeneracy graphs. The
 /// paper sweeps 250–2000 on graphs with γmax up to 3247; the stand-ins
-/// have γmax ≈ 330–400, so the sweep is scaled accordingly (DESIGN.md §3).
+/// have γmax ≈ 330–400, so the sweep is scaled accordingly.
 fn fig10(scale: Scale, runs: usize) {
     let ks = [50usize, 100, 200, 400];
     let gammas = [50u32, 100, 150, 200];
@@ -465,7 +465,7 @@ fn fig15(scale: Scale, runs: usize) {
 /// eviction machinery of Li et al.'s semi-external implementation (it is
 /// the plain baseline), so at web-crawl scale a single OnlineAll-SE run
 /// takes many minutes. The harness therefore uses the two mid-size social
-/// stand-ins, where the contrast is identical in shape (DESIGN.md §3).
+/// stand-ins, where the contrast is identical in shape.
 /// OnlineAll-SE is k-independent and measured once per (graph, γ).
 fn fig16_17(scale: Scale, runs: usize, memory: bool) {
     let dir = std::env::temp_dir().join("ic_experiments_se");

@@ -13,7 +13,7 @@
 //! At the scales this repository runs, the entire graph fits the paper's
 //! 1 GB budget, so the eviction machinery of Li et al.'s semi-external
 //! OnlineAll would never trigger; the two measured quantities — total I/O
-//! and peak resident edges — are unaffected (see DESIGN.md §3).
+//! and peak resident edges — are unaffected.
 
 use crate::community::Community;
 use crate::enumerate::ForestBuilder;

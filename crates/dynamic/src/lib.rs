@@ -12,11 +12,6 @@
 //! * [`DynamicGraph`] accepts updates ([`UpdateOp`]: edge insert/delete,
 //!   vertex add/remove, reweight) against a mutable adjacency state while
 //!   queries keep running against the last committed snapshot.
-//! * [`CoreTracker`] keeps core numbers *exact* after every structural
-//!   update using the standard subcore maintenance rules (an update moves
-//!   core numbers only inside the affected subcore, by at most one), so
-//!   the degeneracy the query planner needs is always available in O(1)
-//!   and a commit never pays the global peel again.
 //! * [`DynamicGraph::commit`] compacts the state into a fresh immutable
 //!   CSR snapshot plus registration-grade [`ic_graph::GraphStats`] — the
 //!   algorithms in `ic-core` run on it unchanged, and `ic-service` swaps
@@ -25,9 +20,12 @@
 //!   snapshot in O(n + m) plus sorting the reweighted vertices, as the
 //!   paper's index-free design allows for a new weight vector; only
 //!   vertex adds and removals pay the full sort-and-relabel rebuild.
-//! * [`DynamicGraph::stale_core_fraction`] quantifies how far the
-//!   published snapshot's planning statistics have drifted from the live
-//!   state, a signal the service planner folds into its dispatch rules.
+//!   Beyond the weight order, LocalSearch needs only the degeneracy
+//!   `γmax`, so a commit that changed the structure pays one linear core
+//!   peel for its statistics and a reweight-only commit pays none.
+//! * [`DynamicGraph::stale_core_fraction`] reports the share of the
+//!   published snapshot's vertices whose adjacency the pending updates
+//!   changed (1.0 once a vertex was added or removed).
 //! * [`DynamicGraph::query`] answers `ic-core`'s unified
 //!   [`ic_core::TopKQuery`] against the committed snapshot, so dynamic
 //!   graphs speak the same request/response surface as everything else.
@@ -47,19 +45,17 @@
 //! dg.delete_edge(3, 11).unwrap();
 //! dg.add_vertex(100, 21.5).unwrap();
 //! dg.insert_edge(100, 12).unwrap();
-//! assert!(dg.stale_core_fraction() > 0.0);
+//! assert_eq!(dg.stale_core_fraction(), 1.0); // the vertex set changed
 //!
 //! let receipt = dg.commit();
 //! assert_eq!(receipt.ops_applied, 3);
 //! assert_eq!(receipt.graph.n(), 23);
-//! // stats were assembled from maintained cores — no global peel
-//! assert_eq!(receipt.stats.gamma_max, dg.gamma_max());
+//! // a structural commit peels the new snapshot once for its stats
+//! assert_eq!(receipt.stats, ic_graph::stats::graph_stats(&receipt.graph));
 //! ```
 
-pub mod cores;
 pub mod graph;
 pub mod wal;
 
-pub use cores::{CoreTracker, MaintenanceStats};
 pub use graph::{CommitReceipt, DynamicError, DynamicGraph, UpdateOp};
 pub use wal::{committed_ops, read_wal, WalRecord, WalStats, WalWriter};

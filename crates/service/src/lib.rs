@@ -32,11 +32,12 @@
 //!   batch at a time across calls, each session backed by a thread owning
 //!   its `ProgressiveSearch` iterator.
 //! * dynamic updates — [`Service::update`] buffers edge/vertex churn in a
-//!   per-graph [`ic_dynamic::DynamicGraph`] overlay (incremental core
-//!   maintenance, no global peel) and [`Service::commit_updates`] swaps
-//!   the compacted snapshot in under a new registry generation, so the
-//!   result cache invalidates by construction; the planner consults the
-//!   overlay's stale-core fraction ([`planner::plan_dynamic`]).
+//!   per-graph [`ic_dynamic::DynamicGraph`] overlay and
+//!   [`Service::commit_updates`] swaps the compacted snapshot in under a
+//!   new registry generation, so the result cache invalidates by
+//!   construction. Queries plan and run on the registered snapshot and
+//!   never take the overlays' lock, so a commit in progress never
+//!   stalls a reader.
 //! * durability — [`service::Service::with_persistence`] pins the whole
 //!   registry to a data directory: registrations snapshot to disk,
 //!   updates append to a per-graph [`ic_dynamic::wal`] write-ahead log
@@ -96,7 +97,7 @@ pub use ic_dynamic::{CommitReceipt, DynamicGraph, UpdateOp};
 pub use ic_obs::{QueryClass, QueryTrace, Stage};
 pub use inflight::InflightTable;
 pub use metrics::{ServiceMetrics, SlowQuery};
-pub use planner::{plan, plan_dynamic, plan_stored, Algorithm, Explain, Mode, Query};
+pub use planner::{plan, plan_stored, Algorithm, Explain, Mode, Query};
 pub use pool::WorkerPool;
 pub use registry::{GraphRegistry, RegisteredGraph};
 pub use server::{serve, serve_metrics, serve_with, Accept, ServerOptions};

@@ -130,11 +130,6 @@ pub struct Explain {
     pub n: usize,
     pub m: usize,
     pub gamma_max: u32,
-    /// Fraction of the registered snapshot's core numbers touched by
-    /// uncommitted dynamic updates (0.0 for static graphs). High values
-    /// mean `gamma_max` no longer describes what the graph will look like
-    /// after the next `COMMIT`; see [`STALE_CORE_CUTOFF`].
-    pub stale_core_fraction: f64,
     /// The storage backend the plan dispatches against. File-backed
     /// stores restrict the choice to the semi-external executors.
     pub storage: StorageKind,
@@ -145,17 +140,28 @@ pub struct Explain {
     pub est_bytes: u64,
 }
 
-/// Stale-core fraction above which the planner stops trusting the
-/// registered `γmax` for regime decisions: under a heavy uncommitted
-/// update burst, the degeneracy measured at registration no longer
-/// predicts the structure clients are querying about.
-pub const STALE_CORE_CUTOFF: f64 = 0.25;
-
-/// Picks the algorithm for `(γ, k)` on a graph with the given statistics,
-/// assuming the statistics are fresh. Equivalent to [`plan_dynamic`] with
-/// a stale-core fraction of 0.
+/// Picks the algorithm for `(γ, k)` on a memory-resident graph with the
+/// given statistics.
+///
+/// The `Auto` branches, in order:
+///
+/// 1. `γ > γmax` — no γ-core exists; **Forward**'s single global counting
+///    pass is the cheapest proof of emptiness.
+/// 2. `k + γ ≥ n` — the heuristic initial prefix already spans the whole
+///    graph; **OnlineAll**'s single sweep enumerates everything without
+///    LocalSearch's growth rounds.
+/// 3. `k + γ ≥ n/2` — the answer prefix likely covers most of the graph;
+///    **Forward**'s two flat passes beat repeated counting of near-global
+///    prefixes.
+/// 4. `k ≤ `[`PROGRESSIVE_K_CUTOFF`] — a tiny result set; the
+///    **progressive** stream stops after the minimal prefix.
+/// 5. otherwise — **LocalSearch**, the instance-optimal default.
+///
+/// A query always runs on a committed snapshot whose `γmax` was exact
+/// when it was registered, so pending dynamic updates never enter the
+/// plan.
 pub fn plan(stats: &GraphStats, gamma: u32, k: usize, mode: Mode) -> Explain {
-    plan_dynamic(stats, gamma, k, mode, 0.0)
+    plan_stored(stats, gamma, k, mode, StorageKind::Memory)
 }
 
 /// Estimated adjacency bytes a plan reads from a file-backed store.
@@ -178,54 +184,16 @@ fn estimate_file_bytes(stats: &GraphStats, algorithm: Algorithm, reach: usize) -
     }
 }
 
-/// Picks the algorithm for `(γ, k)` on a graph with the given statistics
-/// and the given stale-core fraction (how much of the registered
-/// snapshot's core structure uncommitted dynamic updates have touched).
-///
-/// The `Auto` branches, in order:
-///
-/// 1. `γ > γmax` and cores are fresh — no γ-core exists; **Forward**'s
-///    single global counting pass is the cheapest proof of emptiness.
-///    When more than [`STALE_CORE_CUTOFF`] of the cores are stale the
-///    shortcut is distrusted: **LocalSearch** verifies emptiness in time
-///    proportional to its accessed prefix and stays the right plan once
-///    the pending updates commit and shift `γmax`.
-/// 2. `k + γ ≥ n` — the heuristic initial prefix already spans the whole
-///    graph; **OnlineAll**'s single sweep enumerates everything without
-///    LocalSearch's growth rounds.
-/// 3. `k + γ ≥ n/2` — the answer prefix likely covers most of the graph;
-///    **Forward**'s two flat passes beat repeated counting of near-global
-///    prefixes.
-/// 4. `k ≤ `[`PROGRESSIVE_K_CUTOFF`] — a tiny result set; the
-///    **progressive** stream stops after the minimal prefix.
-/// 5. otherwise — **LocalSearch**, the instance-optimal default.
-pub fn plan_dynamic(
-    stats: &GraphStats,
-    gamma: u32,
-    k: usize,
-    mode: Mode,
-    stale_core_fraction: f64,
-) -> Explain {
-    plan_stored(
-        stats,
-        gamma,
-        k,
-        mode,
-        stale_core_fraction,
-        StorageKind::Memory,
-    )
-}
-
 /// Picks the algorithm for `(γ, k)` with the storage backend as an
 /// explicit planning dimension. Memory-resident stores plan exactly as
-/// [`plan_dynamic`]; file-backed stores restrict `Auto` to the
-/// semi-external executors — the only algorithms that can answer without
-/// a memory-resident adjacency — and estimate the bytes the choice will
+/// [`plan`]; file-backed stores restrict `Auto` to the semi-external
+/// executors — the only algorithms that can answer without a
+/// memory-resident adjacency — and estimate the bytes the choice will
 /// read:
 ///
-/// * `k + γ ≥ n` (or `γ > γmax` with fresh cores — the emptiness check
-///   must still stream everything once) — **OnlineAll-SE**: one
-///   sequential pass over the whole adjacency section.
+/// * `k + γ ≥ n` (or `γ > γmax` — the emptiness check must still stream
+///   everything once) — **OnlineAll-SE**: one sequential pass over the
+///   whole adjacency section.
 /// * otherwise — **LocalSearch-SE**: reads only the grown prefix, I/O
 ///   proportional to `size(G≥τ*)`.
 ///
@@ -236,7 +204,6 @@ pub fn plan_stored(
     gamma: u32,
     k: usize,
     mode: Mode,
-    stale_core_fraction: f64,
     storage: StorageKind,
 ) -> Explain {
     let base = |algorithm: Algorithm, reason: &'static str, forced: bool| Explain {
@@ -246,7 +213,6 @@ pub fn plan_stored(
         n: stats.n,
         m: stats.m,
         gamma_max: stats.gamma_max,
-        stale_core_fraction,
         storage,
         est_bytes: 0,
     };
@@ -284,22 +250,12 @@ pub fn plan_stored(
     let n = stats.n;
     let reach = k.saturating_add(gamma as usize);
     if gamma > stats.gamma_max {
-        if stale_core_fraction > STALE_CORE_CUTOFF {
-            base(
-                Algorithm::LocalSearch,
-                "gamma exceeds the registered degeneracy, but uncommitted updates \
-                 have touched too many cores to trust it: instance-optimal search \
-                 verifies the (possibly empty) answer on its accessed prefix only",
-                false,
-            )
-        } else {
-            base(
-                Algorithm::Forward,
-                "gamma exceeds the graph's degeneracy: no gamma-core exists, so one \
-                 global counting pass proves the answer empty",
-                false,
-            )
-        }
+        base(
+            Algorithm::Forward,
+            "gamma exceeds the graph's degeneracy: no gamma-core exists, so one \
+             global counting pass proves the answer empty",
+            false,
+        )
     } else if reach >= n {
         base(
             Algorithm::OnlineAll,
@@ -364,31 +320,6 @@ mod tests {
         let e = plan(&stats(1000, 5000, 8), 9, 5, Mode::Auto);
         assert_eq!(e.algorithm, Algorithm::Forward);
         assert!(e.reason.contains("degeneracy"));
-        assert_eq!(e.stale_core_fraction, 0.0);
-    }
-
-    #[test]
-    fn stale_cores_distrust_the_degeneracy_shortcut() {
-        let s = stats(1000, 5000, 8);
-        // fresh (or mildly stale) cores: the emptiness proof stands
-        for stale in [0.0, STALE_CORE_CUTOFF] {
-            let e = plan_dynamic(&s, 9, 5, Mode::Auto, stale);
-            assert_eq!(e.algorithm, Algorithm::Forward, "stale={stale}");
-        }
-        // heavily stale cores: fall back to the instance-optimal search
-        let e = plan_dynamic(&s, 9, 5, Mode::Auto, 0.5);
-        assert_eq!(e.algorithm, Algorithm::LocalSearch);
-        assert!(e.reason.contains("uncommitted"));
-        assert_eq!(e.stale_core_fraction, 0.5);
-        // staleness never disturbs the feasible-gamma branches
-        for (k, fresh) in [(5, Algorithm::LocalSearch), (2, Algorithm::Progressive)] {
-            let a = plan_dynamic(&s, 3, k, Mode::Auto, 0.9).algorithm;
-            assert_eq!(a, fresh, "k={k}");
-        }
-        // nor an explicit override
-        let forced = plan_dynamic(&s, 9, 5, Mode::Forced(Algorithm::OnlineAll), 0.9);
-        assert_eq!(forced.algorithm, Algorithm::OnlineAll);
-        assert!(forced.forced);
     }
 
     #[test]
@@ -454,7 +385,7 @@ mod tests {
         let s = stats(1000, 5000, 8);
         for gamma in 1..=10u32 {
             for k in [1usize, 2, 5, 50, 100, 600, 2000] {
-                let e = plan_stored(&s, gamma, k, Mode::Auto, 0.0, StorageKind::File);
+                let e = plan_stored(&s, gamma, k, Mode::Auto, StorageKind::File);
                 assert!(
                     matches!(
                         e.algorithm,
@@ -468,9 +399,9 @@ mod tests {
             }
         }
         // small answers read a prefix, whole-graph answers stream the file
-        let small = plan_stored(&s, 3, 5, Mode::Auto, 0.0, StorageKind::File);
+        let small = plan_stored(&s, 3, 5, Mode::Auto, StorageKind::File);
         assert_eq!(small.algorithm, Algorithm::LocalSearchSE);
-        let whole = plan_stored(&s, 3, 2000, Mode::Auto, 0.0, StorageKind::File);
+        let whole = plan_stored(&s, 3, 2000, Mode::Auto, StorageKind::File);
         assert_eq!(whole.algorithm, Algorithm::OnlineAllSE);
         assert_eq!(
             whole.est_bytes,
@@ -479,7 +410,7 @@ mod tests {
         );
         assert!(small.est_bytes < whole.est_bytes);
         // an infeasible gamma still needs the full-stream emptiness check
-        let empty = plan_stored(&s, 9, 1, Mode::Auto, 0.0, StorageKind::File);
+        let empty = plan_stored(&s, 9, 1, Mode::Auto, StorageKind::File);
         assert_eq!(empty.algorithm, Algorithm::OnlineAllSE);
     }
 
@@ -491,7 +422,6 @@ mod tests {
             3,
             4,
             Mode::Forced(Algorithm::LocalSearch),
-            0.0,
             StorageKind::File,
         );
         assert_eq!(e.algorithm, Algorithm::LocalSearch);

@@ -217,25 +217,17 @@ fn dispatch(svc: &Arc<Service>, line: &str) -> Result<String, ServiceError> {
             let query = parse_query(&verb, &args)?;
             let e = svc.explain(&query)?;
             Ok(format!(
-                "OK algo={} forced={} n={} m={} gamma_max={} stale_core={:.4} \
-                 storage={} est_bytes={} reason={}",
-                e.algorithm,
-                e.forced,
-                e.n,
-                e.m,
-                e.gamma_max,
-                e.stale_core_fraction,
-                e.storage,
-                e.est_bytes,
-                e.reason
+                "OK algo={} forced={} n={} m={} gamma_max={} storage={} \
+                 est_bytes={} reason={}",
+                e.algorithm, e.forced, e.n, e.m, e.gamma_max, e.storage, e.est_bytes, e.reason
             ))
         }
         "UPDATE" => {
             let (graph, op) = parse_update(&verb, &args)?;
             let st = svc.update(graph, op)?;
             Ok(format!(
-                "OK graph={} pending={} stale_core={:.4} n={} m={} gamma_max={}",
-                graph, st.pending, st.stale_core_fraction, st.n, st.m, st.gamma_max
+                "OK graph={} pending={} n={} m={}",
+                graph, st.pending, st.n, st.m
             ))
         }
         "COMMIT" => {
@@ -440,8 +432,7 @@ fn handle_explain_analyze(svc: &Arc<Service>, args: &[&str]) -> Result<String, S
     let e = &resp.explain;
     Ok(format!(
         "OK algo={} forced={} cached={} coalesced={} count={} n={} m={} \
-         gamma_max={} stale_core={:.4} storage={} est_bytes={}{} \
-         io_bytes={} io_ops={} reason={}",
+         gamma_max={} storage={} est_bytes={}{} io_bytes={} io_ops={} reason={}",
         e.algorithm,
         e.forced,
         resp.cached,
@@ -450,7 +441,6 @@ fn handle_explain_analyze(svc: &Arc<Service>, args: &[&str]) -> Result<String, S
         e.n,
         e.m,
         e.gamma_max,
-        e.stale_core_fraction,
         e.storage,
         e.est_bytes,
         stage_fields(&trace),
@@ -1015,8 +1005,7 @@ mod tests {
 
         // delete the top clique's cheapest edge; not visible before COMMIT
         let upd = handle_line(&svc, "UPDATE fig3 DEL 3 11");
-        assert!(upd.starts_with("OK graph=fig3 pending=1"), "{upd}");
-        assert!(upd.contains("stale_core=0."), "{upd}");
+        assert_eq!(upd, "OK graph=fig3 pending=1 n=22 m=45");
         let mid = handle_line(&svc, "QUERY fig3 3 1");
         assert!(mid.contains("members=3,11,12,20"), "{mid}");
 
@@ -1044,16 +1033,6 @@ mod tests {
         assert!(commit2.contains("ops=10"), "{commit2}");
         let top = handle_line(&svc, "QUERY fig3 3 1");
         assert!(top.contains("influence=30 members=50,51,52,53"), "{top}");
-    }
-
-    #[test]
-    fn explain_reports_staleness() {
-        let svc = svc();
-        let fresh = handle_line(&svc, "EXPLAIN fig3 3 4");
-        assert!(fresh.contains("stale_core=0.0000"), "{fresh}");
-        let _ = handle_line(&svc, "UPDATE fig3 DEL 3 11");
-        let stale = handle_line(&svc, "EXPLAIN fig3 3 4");
-        assert!(!stale.contains("stale_core=0.0000"), "{stale}");
     }
 
     #[test]

@@ -81,11 +81,12 @@ impl GraphRegistry {
     }
 
     /// Registers (or replaces) an in-memory graph whose statistics the
-    /// caller already holds, skipping the full core decomposition that
-    /// [`graph_stats`] would pay. This is the commit path of the
-    /// dynamic-update subsystem: `ic-dynamic` maintains the degeneracy
-    /// incrementally, so a commit hands over exact stats in O(1). The
-    /// caller vouches that `stats` describes `graph`.
+    /// caller already holds, skipping the [`graph_stats`] call
+    /// [`GraphRegistry::register`] would pay. This is the commit path of
+    /// the dynamic-update subsystem: an `ic-dynamic` commit has already
+    /// peeled the new snapshot (or, for reweights alone, kept statistics
+    /// that weights cannot change). The caller vouches that `stats`
+    /// describes `graph`.
     pub fn register_prepared(
         &self,
         name: &str,

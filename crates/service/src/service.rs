@@ -8,11 +8,11 @@
 //! every connection handler.
 //!
 //! A batch query flows: validate → look up graph →
-//! [`plan_stored`] (fed the graph's stale-core fraction and its storage
-//! backend) → probe the
-//! cache keyed by `(graph, generation, γ, k, family)` — prefix-aware
-//! within the core family, so a larger-k entry of the same lane serves
-//! smaller k by slicing — → join the key's *single flight*: concurrent
+//! [`plan_stored`] (fed the registered statistics and the storage
+//! backend) → probe the cache keyed by
+//! `(graph, generation, γ, k, family)` — prefix-aware within the core
+//! family, so a larger-k entry of the same lane serves smaller k by
+//! slicing — → join the key's *single flight*: concurrent
 //! identical cold queries elect one leader that executes the planned
 //! algorithm while the rest block on its answer (`coalesced` in the
 //! stats) → the leader publishes to cache and followers alike.
@@ -150,15 +150,10 @@ impl SyntheticSpec {
 pub struct UpdateStatus {
     /// Updates accepted (and not yet committed) for the graph.
     pub pending: u64,
-    /// Fraction of the registered snapshot's cores the pending updates
-    /// have touched (the planner's distrust signal).
-    pub stale_core_fraction: f64,
     /// Vertices in the live (uncommitted) state.
     pub n: usize,
     /// Edges in the live (uncommitted) state.
     pub m: usize,
-    /// Exact degeneracy of the live state, maintained incrementally.
-    pub gamma_max: u32,
 }
 
 /// A per-graph dynamic overlay plus the registry generation it was
@@ -184,7 +179,8 @@ pub struct Service {
     sessions: Mutex<HashMap<u64, Session>>,
     next_session_id: AtomicU64,
     /// Per-name dynamic overlays, created lazily by the first update.
-    /// Queries only take the cheap read path (absent for static graphs).
+    /// Queries run on the registered snapshot and never take this lock,
+    /// which a commit holds for its whole run.
     dynamics: RwLock<HashMap<String, DynamicOverlay>>,
     /// The `--data-dir` durability layer; `None` for in-memory services.
     persist: Option<Mutex<Persistence>>,
@@ -348,13 +344,12 @@ impl Service {
     /// Applies one dynamic update to `name`'s overlay, creating the
     /// overlay from the registered snapshot on first use. The update is
     /// visible to queries only after [`Service::commit_updates`]; until
-    /// then queries keep answering from the registered snapshot while the
-    /// planner sees a growing stale-core fraction.
+    /// then queries keep answering from the registered snapshot.
     pub fn update(&self, name: &str, op: UpdateOp) -> Result<UpdateStatus, ServiceError> {
         // Seeding an overlay pays a full core peel plus an adjacency
         // copy, so a missing overlay is built *outside* the write lock —
-        // queries (which read this lock on their hot path) keep flowing
-        // while an overlay for a large graph is prepared.
+        // updates and commits to other graphs keep flowing while an
+        // overlay for a large graph is prepared.
         let prebuilt = {
             let dynamics = read_or_poison(&self.dynamics);
             if dynamics.contains_key(name) {
@@ -403,10 +398,8 @@ impl Service {
         }
         Ok(UpdateStatus {
             pending: dg.pending_updates(),
-            stale_core_fraction: dg.stale_core_fraction(),
             n: dg.n(),
             m: dg.m(),
-            gamma_max: dg.gamma_max(),
         })
     }
 
@@ -414,9 +407,10 @@ impl Service {
     /// fresh CSR snapshot and re-registers it under a new generation, so
     /// the result cache invalidates by construction (generation-keyed
     /// entries for the old snapshot become unreachable). Registration
-    /// reuses the overlay's incrementally maintained statistics — no
-    /// global core peel. With no overlay or no pending updates this is a
-    /// no-op returning the current registration.
+    /// takes the statistics the commit produced — one core peel when the
+    /// structure changed, none for reweights alone. With no overlay or no
+    /// pending updates this is a no-op returning the current
+    /// registration.
     pub fn commit_updates(
         &self,
         name: &str,
@@ -432,7 +426,6 @@ impl Service {
                 stats: entry.stats,
                 ops_applied: 0,
                 cores_visited: 0,
-                refreshed_cores: false,
             };
             return Ok((entry, receipt));
         };
@@ -456,8 +449,10 @@ impl Service {
         Ok((entry, receipt))
     }
 
-    /// The stale-core fraction of `name`'s registered snapshot under its
-    /// pending updates; 0.0 for graphs without a dynamic overlay.
+    /// The share of `name`'s registered snapshot whose adjacency its
+    /// pending updates changed (1.0 after a vertex add or removal); 0.0
+    /// for graphs without a dynamic overlay. A monitoring read: it takes
+    /// the dynamics lock, so the query path never calls it.
     pub fn stale_core_fraction(&self, name: &str) -> f64 {
         read_or_poison(&self.dynamics)
             .get(name)
@@ -477,13 +472,11 @@ impl Service {
     pub fn explain(&self, query: &Query) -> Result<Explain, ServiceError> {
         query.validate()?;
         let entry = self.registry.get(&query.graph)?;
-        let stale = self.stale_core_fraction(&query.graph);
         Ok(plan_stored(
             &entry.stats,
             query.gamma,
             query.k,
             query.mode,
-            stale,
             entry.store.kind(),
         ))
     }
@@ -513,13 +506,11 @@ impl Service {
     ) -> Result<QueryResponse, ServiceError> {
         let core_query = query.to_core()?;
         let entry = self.registry.get(&query.graph)?;
-        let stale = self.stale_core_fraction(&query.graph);
         let explain = plan_stored(
             &entry.stats,
             query.gamma,
             query.k,
             query.mode,
-            stale,
             entry.store.kind(),
         );
         // The key carries the generation of the instance this execution
@@ -1669,8 +1660,7 @@ mod tests {
             .update("fig3", UpdateOp::DeleteEdge { u: 3, v: 11 })
             .unwrap();
         assert_eq!(st.pending, 1);
-        assert!(st.stale_core_fraction > 0.0);
-        assert_eq!(svc.stale_core_fraction("fig3"), st.stale_core_fraction);
+        assert!(svc.stale_core_fraction("fig3") > 0.0);
         let mid = svc.query(Query::new("fig3", 3, 4)).unwrap();
         assert_eq!(mid.communities.len(), before.communities.len());
         assert!(mid.cached, "pre-commit answers still come from the cache");
@@ -1750,22 +1740,25 @@ mod tests {
     }
 
     #[test]
-    fn stale_cores_flip_the_infeasible_gamma_plan() {
+    fn readers_never_wait_for_the_dynamics_lock() {
         let svc = service_with_fig3();
-        let gamma_max = svc.graph("fig3").unwrap().stats.gamma_max;
-        let fresh = svc.explain(&Query::new("fig3", gamma_max + 1, 4)).unwrap();
-        assert_eq!(fresh.algorithm, Algorithm::Forward);
-        // churn enough edges to cross STALE_CORE_CUTOFF
-        for (u, v) in [(3u64, 11u64), (1, 6), (9, 12), (10, 13)] {
-            svc.update("fig3", UpdateOp::DeleteEdge { u, v }).unwrap();
-        }
-        let stale = svc.explain(&Query::new("fig3", gamma_max + 1, 4)).unwrap();
-        assert!(stale.stale_core_fraction > crate::planner::STALE_CORE_CUTOFF);
-        assert_eq!(stale.algorithm, Algorithm::LocalSearch);
-        // committing restores trust
-        svc.commit_updates("fig3").unwrap();
-        let after = svc.explain(&Query::new("fig3", gamma_max + 1, 4)).unwrap();
-        assert_eq!(after.stale_core_fraction, 0.0);
+        svc.update("fig3", UpdateOp::DeleteEdge { u: 3, v: 11 })
+            .unwrap();
+        // what commit_updates holds for its whole run
+        let guard = write_or_poison(&svc.dynamics);
+        let (tx, rx) = channel();
+        let svc2 = Arc::clone(&svc);
+        let reader = std::thread::spawn(move || {
+            let q = Query::new("fig3", 3, 4);
+            let _ = tx.send(svc2.query(q.clone()).is_ok());
+            let _ = tx.send(svc2.explain(&q).is_ok());
+        });
+        let wait = Duration::from_secs(10);
+        let (query, explain) = (rx.recv_timeout(wait), rx.recv_timeout(wait));
+        drop(guard);
+        reader.join().expect("reader thread panicked");
+        assert_eq!(query, Ok(true), "query blocked behind a commit");
+        assert_eq!(explain, Ok(true), "explain blocked behind a commit");
     }
 
     #[test]

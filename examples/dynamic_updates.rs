@@ -1,7 +1,7 @@
 //! The dynamic-update subsystem end to end: a live network absorbs edge
 //! and vertex churn through `UPDATE`/`COMMIT` while queries keep
 //! answering, and the same flow is shown library-level on a
-//! `DynamicGraph` with its incremental core maintenance receipts.
+//! `DynamicGraph` with its commit receipt.
 //!
 //! ```sh
 //! cargo run --example dynamic_updates
@@ -29,7 +29,7 @@ fn main() {
         "# sever its cheapest edge; nothing visible until COMMIT",
         "UPDATE net DEL 3 11",
         "QUERY net 3 1",
-        "# the planner reports how stale the snapshot's cores are",
+        "# the planner still sees the committed snapshot's statistics",
         "EXPLAIN net 3 1",
         "# grow a fresh high-influence clique (vertices created on the fly)",
         "UPDATE net ADD 50 51 30",
@@ -53,26 +53,24 @@ fn main() {
     }
 
     // --- library level: the same machinery without a service ------------
-    println!("\n# library level: DynamicGraph with maintenance receipts");
+    println!("\n# library level: DynamicGraph with its commit receipt");
     let mut dg = DynamicGraph::new(figure3());
     dg.delete_edge(3, 11).expect("edge exists");
     dg.add_vertex(100, 25.0).expect("fresh vertex");
     dg.insert_edge(100, 12).expect("both endpoints exist");
     println!(
-        "pending={} stale_core_fraction={:.3} gamma_max={}",
+        "pending={} stale_core_fraction={:.3}",
         dg.pending_updates(),
-        dg.stale_core_fraction(),
-        dg.gamma_max()
+        dg.stale_core_fraction()
     );
     let receipt = dg.commit();
     println!(
-        "committed: n={} m={} gamma_max={} ops={} cores_visited={} refreshed={}",
+        "committed: n={} m={} gamma_max={} ops={} cores_visited={}",
         receipt.stats.n,
         receipt.stats.m,
         receipt.stats.gamma_max,
         receipt.ops_applied,
-        receipt.cores_visited,
-        receipt.refreshed_cores
+        receipt.cores_visited
     );
     // committed snapshots answer through the same unified query API
     let top = dg.query(&TopKQuery::new(3)).expect("valid query");
