@@ -1,7 +1,8 @@
 //! Reproduces every table and figure of the paper's evaluation (§6) on
 //! the synthetic Table 1 stand-ins. Each experiment prints a
-//! paper-formatted series table; `EXPERIMENTS.md` records the comparison
-//! against the published results.
+//! paper-formatted series table. The comparison against the published
+//! results is not written up yet: there is no `EXPERIMENTS.md` (ROADMAP.md,
+//! item 4).
 //!
 //! ```sh
 //! cargo run --release -p ic-bench --bin experiments            # everything
@@ -28,60 +29,73 @@ const K_SWEEP: [usize; 5] = [5, 10, 20, 50, 100];
 const GAMMA_SWEEP: [u32; 4] = [5, 10, 20, 50];
 const FIG9_GRAPHS: [&str; 4] = ["wiki", "livejournal", "arabic", "uk"];
 
+/// Runs one experiment at a scale, with a number of runs per measurement.
+type Experiment = fn(Scale, usize);
+
+/// Every experiment by name, in the order `all` runs them.
+const EXPERIMENTS: [(&str, Experiment); 14] = [
+    ("table1", |scale, _| table1(scale)),
+    ("fig8", fig8),
+    ("fig9", fig9),
+    ("fig10", fig10),
+    ("fig11", fig11),
+    ("fig12", fig12),
+    ("fig13", fig13),
+    ("fig14", |scale, _| fig14(scale)),
+    ("fig15", fig15),
+    ("fig16", |scale, runs| fig16_17(scale, runs, false)),
+    ("fig17", |scale, runs| fig16_17(scale, runs, true)),
+    ("fig18", fig18),
+    ("fig19", fig19),
+    ("fig20", |_, _| fig20()),
+];
+
 fn main() {
     let mut scale = Scale::Bench;
     let mut runs = 3usize;
-    let mut wanted: Vec<String> = Vec::new();
+    let mut all = false;
+    let mut wanted: Vec<Experiment> = Vec::new();
     let mut args = std::env::args().skip(1);
+    // The whole command line is checked before any experiment runs.
     while let Some(a) = args.next() {
         match a.as_str() {
             "--small" => scale = Scale::Small,
-            "--runs" => {
-                runs = args
-                    .next()
-                    .and_then(|v| v.parse().ok())
-                    .expect("--runs needs a number")
-            }
+            "--runs" => match args.next().and_then(|v| v.parse().ok()) {
+                Some(n) if n >= 1 => runs = n,
+                _ => usage_error("--runs needs a whole number of at least 1"),
+            },
             "--help" | "-h" => {
-                println!(
-                    "usage: experiments [--small] [--runs N] [table1 fig8 fig9 fig10 \
-                     fig11 fig12 fig13 fig14 fig15 fig16 fig17 fig18 fig19 fig20 | all]"
-                );
+                println!("{}", usage());
                 return;
             }
-            other => wanted.push(other.to_string()),
+            "all" => all = true,
+            name => match EXPERIMENTS.iter().find(|(n, _)| *n == name) {
+                Some(&(_, run)) => wanted.push(run),
+                None => usage_error(&format!("unknown experiment {name:?}")),
+            },
         }
     }
-    if wanted.is_empty() || wanted.iter().any(|w| w == "all") {
-        wanted = [
-            "table1", "fig8", "fig9", "fig10", "fig11", "fig12", "fig13", "fig14", "fig15",
-            "fig16", "fig17", "fig18", "fig19", "fig20",
-        ]
-        .iter()
-        .map(|s| s.to_string())
-        .collect();
+    if all || wanted.is_empty() {
+        wanted = EXPERIMENTS.iter().map(|&(_, run)| run).collect();
     }
     let t0 = Instant::now();
-    for w in &wanted {
-        match w.as_str() {
-            "table1" => table1(scale),
-            "fig8" => fig8(scale, runs),
-            "fig9" => fig9(scale, runs),
-            "fig10" => fig10(scale, runs),
-            "fig11" => fig11(scale, runs),
-            "fig12" => fig12(scale, runs),
-            "fig13" => fig13(scale, runs),
-            "fig14" => fig14(scale),
-            "fig15" => fig15(scale, runs),
-            "fig16" => fig16_17(scale, runs, false),
-            "fig17" => fig16_17(scale, runs, true),
-            "fig18" => fig18(scale, runs),
-            "fig19" => fig19(scale, runs),
-            "fig20" => fig20(),
-            other => eprintln!("unknown experiment {other:?} (see --help)"),
-        }
+    for run in wanted {
+        run(scale, runs);
     }
     println!("\ntotal harness time: {:.1?}", t0.elapsed());
+}
+
+fn usage() -> String {
+    let names: Vec<&str> = EXPERIMENTS.iter().map(|(name, _)| *name).collect();
+    let names = names.join(" ");
+    format!("usage: experiments [--small] [--runs N] [{names} | all]")
+}
+
+/// Rejects the command line: the reason and the usage line go to stderr,
+/// and the exit code is 2.
+fn usage_error(reason: &str) -> ! {
+    eprintln!("experiments: {reason}\n{}", usage());
+    std::process::exit(2)
 }
 
 /// Table 1: statistics of the (synthetic stand-in) graphs.

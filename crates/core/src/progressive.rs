@@ -17,6 +17,7 @@
 //! global across rounds exactly as §4 prescribes.
 
 use std::collections::VecDeque;
+use std::ops::Deref;
 
 use crate::community::{Community, CommunityForest};
 use crate::enumerate::ForestBuilder;
@@ -25,13 +26,17 @@ use crate::peel::{PeelConfig, PeelEngine, PeelOutput};
 use ic_graph::{Prefix, WeightedGraph};
 
 /// A progressive community stream. Implements [`Iterator`]; items arrive
-/// in strictly decreasing influence order.
+/// in strictly decreasing influence order. The graph handle `G` may borrow
+/// the graph (`&WeightedGraph`) or own a share of it (`Arc<WeightedGraph>`).
 #[derive(Debug)]
-pub struct ProgressiveSearch<'g> {
-    g: &'g WeightedGraph,
+pub struct ProgressiveSearch<G> {
+    g: G,
     gamma: u32,
     delta: f64,
-    prefix: Prefix<'g>,
+    /// Length and size of the prefix the next round peels; the round
+    /// rebuilds its [`Prefix`] view in O(len), under its O(size) peel.
+    len: usize,
+    size: u64,
     /// Length of the previous round's prefix (`stop_before` for
     /// ConstructCVS); 0 before the first round.
     prev_len: usize,
@@ -50,25 +55,27 @@ pub struct ProgressiveSearch<'g> {
     total_counted_size: u64,
 }
 
-impl<'g> ProgressiveSearch<'g> {
+impl<G: Deref<Target = WeightedGraph>> ProgressiveSearch<G> {
     /// Starts a progressive query with the default growth ratio δ = 2
     /// (Algorithm 4 line 8 hard-codes 2; [`Self::with_delta`] generalizes).
-    pub fn new(g: &'g WeightedGraph, gamma: u32) -> Self {
+    pub fn new(g: G, gamma: u32) -> Self {
         Self::with_delta(g, gamma, 2.0)
     }
 
     /// Progressive query with a custom growth ratio δ > 1.
-    pub fn with_delta(g: &'g WeightedGraph, gamma: u32, delta: f64) -> Self {
+    pub fn with_delta(g: G, gamma: u32, delta: f64) -> Self {
         assert!(gamma >= 1, "gamma must be at least 1");
         assert!(delta > 1.0, "growth ratio must exceed 1");
         // line 1: the largest τ whose prefix could hold one community —
         // a γ-community has at least γ+1 vertices
-        let t1 = (gamma as usize + 1).min(g.n());
+        let first = Prefix::with_len(&g, gamma as usize + 1);
+        let (len, size) = (first.len(), first.size());
         ProgressiveSearch {
             g,
             gamma,
             delta,
-            prefix: Prefix::with_len(g, t1),
+            len,
+            size,
             prev_len: 0,
             engine: PeelEngine::new(),
             out: PeelOutput::default(),
@@ -90,7 +97,7 @@ impl<'g> ProgressiveSearch<'g> {
     /// `size(G≥τ)` of the prefix accessed so far — the progressive
     /// analogue of [`crate::local_search::SearchStats::final_prefix_size`].
     pub fn accessed_size(&self) -> u64 {
-        self.prefix.size()
+        self.size
     }
 
     /// Access statistics so far, in the same shape as the batch
@@ -114,36 +121,39 @@ impl<'g> ProgressiveSearch<'g> {
             return false;
         }
         // line 5: ConstructCVS(G≥τi, γ, τi−1)
+        let g: &WeightedGraph = &self.g;
+        let mut prefix = Prefix::with_len(g, self.len);
         let cfg = PeelConfig {
             gamma: self.gamma,
             stop_before: self.prev_len,
             track_nc: false,
         };
-        self.engine.peel(&self.prefix, cfg, &mut self.out);
+        self.engine.peel(&prefix, cfg, &mut self.out);
         self.rounds += 1;
-        self.prev_size = self.prefix.size();
-        self.total_counted_size += self.prefix.size();
+        self.prev_size = prefix.size();
+        self.total_counted_size += prefix.size();
         // line 6: EnumIC-P — new keynodes in decreasing weight order
         let entries = self
             .builder
-            .add_peel(&self.prefix, &self.out, usize::MAX, |r| self.g.weight(r));
+            .add_peel(&prefix, &self.out, usize::MAX, |r| g.weight(r));
         self.pending.extend(entries);
-        self.prev_len = self.prefix.len();
+        self.prev_len = prefix.len();
         // line 7: terminate after processing the full graph
-        if self.prefix.is_full() {
+        if prefix.is_full() {
             self.exhausted = true;
         } else {
             // line 8: grow to at least δ × current size (τmin fallback is
             // implicit: extend_to_size caps at the full graph)
-            let target = (self.prefix.size() as f64 * self.delta).ceil() as u64;
-            self.prefix
-                .extend_to_size(target.max(self.prefix.size() + 1));
+            let target = (prefix.size() as f64 * self.delta).ceil() as u64;
+            prefix.extend_to_size(target.max(prefix.size() + 1));
+            self.len = prefix.len();
+            self.size = prefix.size();
         }
         true
     }
 }
 
-impl Iterator for ProgressiveSearch<'_> {
+impl<G: Deref<Target = WeightedGraph>> Iterator for ProgressiveSearch<G> {
     type Item = Community;
 
     fn next(&mut self) -> Option<Community> {
@@ -178,6 +188,7 @@ mod tests {
     use crate::community::verify;
     use ic_graph::paper::{figure1, figure2a, figure3};
     use ic_graph::Rank;
+    use std::sync::Arc;
 
     fn ids(g: &WeightedGraph, ranks: &[Rank]) -> Vec<u64> {
         let mut v: Vec<u64> = ranks.iter().map(|&r| g.external_id(r)).collect();
@@ -294,6 +305,27 @@ mod tests {
             "each keynode reported exactly once"
         );
     }
+
+    #[test]
+    fn owned_graph_streams_like_the_borrowed_one() {
+        let (g, shared) = (figure3(), Arc::new(figure3()));
+        for gamma in 1..=4u32 {
+            let mut borrowed = ProgressiveSearch::new(&g, gamma);
+            let mut owned = ProgressiveSearch::new(Arc::clone(&shared), gamma);
+            while let Some(c) = borrowed.next() {
+                assert_eq!(Some(c), owned.next(), "gamma={gamma}");
+                assert_eq!(borrowed.stats(), owned.stats(), "gamma={gamma}");
+                assert_eq!(borrowed.accessed_size(), owned.accessed_size());
+            }
+            assert_eq!(owned.next(), None, "gamma={gamma}");
+        }
+    }
+
+    /// An owned stream can be kept across calls on any thread.
+    const _: fn() = || {
+        fn send_static<T: Send + 'static>() {}
+        send_static::<ProgressiveSearch<Arc<WeightedGraph>>>();
+    };
 
     #[test]
     fn sparse_graph_yields_nothing() {

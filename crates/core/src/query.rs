@@ -589,7 +589,7 @@ pub struct CommunityStream<'g> {
 #[derive(Debug)]
 enum StreamInner<'g> {
     /// LocalSearch-P: lazy, pays only for the prefix consumed so far.
-    Live(Box<ProgressiveSearch<'g>>),
+    Live(Box<ProgressiveSearch<&'g WeightedGraph>>),
     /// Adapter over a completed batch result.
     Batch {
         iter: std::vec::IntoIter<Community>,
@@ -598,7 +598,7 @@ enum StreamInner<'g> {
 }
 
 impl<'g> CommunityStream<'g> {
-    pub(crate) fn live(search: ProgressiveSearch<'g>) -> Self {
+    pub(crate) fn live(search: ProgressiveSearch<&'g WeightedGraph>) -> Self {
         CommunityStream {
             inner: StreamInner::Live(Box::new(search)),
         }

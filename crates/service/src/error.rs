@@ -26,7 +26,8 @@ pub enum ServiceError {
     /// replay) failed; the in-memory state is still consistent but is no
     /// longer guaranteed to survive a restart.
     Persistence(String),
-    /// The worker pool or a session worker shut down mid-request.
+    /// The worker pool shut down mid-request, or a session's stream
+    /// panicked (which ends that session).
     WorkerGone,
 }
 

@@ -29,8 +29,9 @@
 //!   one search per `(graph, generation, γ, family)` group, executed at
 //!   the group's largest k and sliced per request.
 //! * [`session::Session`] — progressive sessions: pull communities one
-//!   batch at a time across calls, each session backed by a thread owning
-//!   its `ProgressiveSearch` iterator.
+//!   batch at a time across calls, each session a mutex around a
+//!   `ProgressiveSearch` iterator that owns its share of the graph, pulled
+//!   on the caller's thread.
 //! * dynamic updates — [`Service::update`] buffers edge/vertex churn in a
 //!   per-graph [`ic_dynamic::DynamicGraph`] overlay and
 //!   [`Service::commit_updates`] swaps the compacted snapshot in under a
@@ -71,7 +72,7 @@
 //!
 //! // progressive session: pull communities one at a time
 //! let id = svc.open_session("fig3", 3).unwrap();
-//! let first = svc.session_next(id, 1).unwrap();
+//! let (first, _done) = svc.session_next_full(id, 1).unwrap();
 //! assert_eq!(first.len(), 1);
 //! svc.close_session(id).unwrap();
 //! ```

@@ -5,7 +5,8 @@
 //! compute nothing. Every batch query funnels into the service's fixed
 //! worker pool, so a burst of connections cannot oversubscribe the CPU:
 //! N connections share `workers` execution threads, queueing FIFO behind
-//! them, while session `NEXT` calls ride their own per-session threads.
+//! them. A session `NEXT` pulls on its connection's thread, under that
+//! session's own lock.
 //!
 //! The accept loops are load-safe: the errors sustained traffic provokes
 //! — `ECONNABORTED` from a client resetting mid-handshake, `EMFILE` /

@@ -176,7 +176,7 @@ pub struct Service {
     stats: StatsRecorder,
     metrics: ServiceMetrics,
     pool: WorkerPool,
-    sessions: Mutex<HashMap<u64, Session>>,
+    sessions: Mutex<HashMap<u64, Arc<Session>>>,
     next_session_id: AtomicU64,
     /// Per-name dynamic overlays, created lazily by the first update.
     /// Queries run on the registered snapshot and never take this lock,
@@ -890,16 +890,9 @@ impl Service {
         // file-backed stores are rejected with the typed storage error
         let session = Session::open(graph, Arc::clone(entry.memory()?), gamma)?;
         let id = self.next_session_id.fetch_add(1, Ordering::Relaxed);
-        lock_or_poison(&self.sessions).insert(id, session);
+        lock_or_poison(&self.sessions).insert(id, Arc::new(session));
         self.stats.record_session_opened();
         Ok(id)
-    }
-
-    /// Pulls up to `n` further communities from a session. An empty
-    /// vector means the stream is exhausted (or `n` was 0 — use
-    /// [`Service::session_next_full`] to tell the two apart).
-    pub fn session_next(&self, id: u64, n: usize) -> Result<Vec<Community>, ServiceError> {
-        self.session_next_full(id, n).map(|(batch, _)| batch)
     }
 
     /// Pulls up to `n` further communities from a session, plus whether
@@ -911,20 +904,15 @@ impl Service {
         id: u64,
         n: usize,
     ) -> Result<(Vec<Community>, bool), ServiceError> {
-        // Hold the table lock only for the lookup: the batch is pulled
-        // through a detached client so other sessions stay reachable
-        // while this one's iterator works.
-        let client = {
-            let sessions = lock_or_poison(&self.sessions);
-            let session = sessions.get(&id).ok_or(ServiceError::UnknownSession(id))?;
-            session.client()?
-        };
-        let (batch, done) = client.next_batch(n)?;
+        // The table lock covers only the lookup; the pull runs under the
+        // session's own lock, so other sessions stay reachable meanwhile.
+        let (batch, done) = self.session(id)?.next_batch(n)?;
         self.stats.record_streamed(batch.len());
         Ok((batch, done))
     }
 
-    /// Closes a session, joining its worker thread.
+    /// Closes a session. A pull in flight on it holds its own reference
+    /// and finishes; the close never waits for it.
     pub fn close_session(&self, id: u64) -> Result<(), ServiceError> {
         let session = lock_or_poison(&self.sessions)
             .remove(&id)
@@ -934,27 +922,18 @@ impl Service {
         Ok(())
     }
 
-    /// The graph name a session streams from, if the session is open.
-    pub fn session_graph_name(&self, id: u64) -> Option<String> {
-        lock_or_poison(&self.sessions)
-            .get(&id)
-            .map(|s| s.graph.clone())
-    }
-
     /// The exact graph instance a session streams from, if the session is
     /// open. This is the rank space of the session's communities — use it
     /// for id translation even if the name has since been re-registered.
     pub fn session_graph_instance(&self, id: u64) -> Option<Arc<WeightedGraph>> {
-        lock_or_poison(&self.sessions)
-            .get(&id)
-            .map(|s| s.graph_instance())
+        self.session(id).ok().map(|s| s.graph_instance())
     }
 
-    /// Ids of the currently open sessions.
-    pub fn open_session_ids(&self) -> Vec<u64> {
-        let mut ids: Vec<u64> = lock_or_poison(&self.sessions).keys().copied().collect();
-        ids.sort_unstable();
-        ids
+    fn session(&self, id: u64) -> Result<Arc<Session>, ServiceError> {
+        lock_or_poison(&self.sessions)
+            .get(&id)
+            .cloned()
+            .ok_or(ServiceError::UnknownSession(id))
     }
 
     // ----- introspection -----------------------------------------------
@@ -1558,13 +1537,13 @@ mod tests {
     fn sessions_stream_and_close() {
         let svc = service_with_fig3();
         let id = svc.open_session("fig3", 3).unwrap();
-        let first = svc.session_next(id, 1).unwrap();
+        let first = svc.session_next_full(id, 1).unwrap().0;
         assert_eq!(first.len(), 1);
-        let rest = svc.session_next(id, 100).unwrap();
+        let rest = svc.session_next_full(id, 100).unwrap().0;
         assert!(!rest.is_empty());
         svc.close_session(id).unwrap();
         assert!(matches!(
-            svc.session_next(id, 1),
+            svc.session_next_full(id, 1),
             Err(ServiceError::UnknownSession(_))
         ));
         let stats = svc.stats();
@@ -1635,9 +1614,9 @@ mod tests {
         let svc = service_with_fig3();
         let id = svc.open_session("fig3", 3).unwrap();
         let instance = svc.session_graph_instance(id).unwrap();
-        let first = svc.session_next(id, 1).unwrap();
+        let first = svc.session_next_full(id, 1).unwrap().0;
         svc.register("fig3", figure1()); // 10 vertices < fig3's 22
-        let rest = svc.session_next(id, 100).unwrap();
+        let rest = svc.session_next_full(id, 100).unwrap().0;
         // every yielded rank is valid in the captured instance
         for c in first.iter().chain(&rest) {
             for &r in &c.members {

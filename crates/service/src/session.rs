@@ -1,40 +1,20 @@
 //! Progressive sessions: LS-P's streaming story made service-shaped.
 //!
-//! [`ic_core::ProgressiveSearch`] borrows its graph (`&'g WeightedGraph`),
-//! which a long-lived session handle cannot do across calls. Rather than
-//! a self-referential struct, each session runs its iterator on a
-//! dedicated thread that *owns* a clone of the graph's `Arc`: the
-//! iterator borrows the `Arc`'s contents locally, entirely within safe
-//! Rust, and the handle talks to it over channels. A `NEXT n` request is
-//! one round-trip; the iterator's internal peel state persists between
-//! calls, so a session retains LS-P's incremental cost profile — pulling
-//! the next community only pays for the additional prefix it uncovers.
-//!
-//! Dropping the handle (or `CLOSE`) sends an explicit shutdown command;
-//! the thread drops its iterator and exits, and the handle joins it, so
-//! no session thread outlives the service. Shutdown is a message rather
-//! than a channel disconnect so that an outstanding [`SessionClient`]
-//! (which holds a cloned sender) can never keep the join waiting.
+//! A session is a mutex around an [`ic_core::ProgressiveSearch`] that
+//! owns its share of the graph. `NEXT` pulls on the caller's thread, and
+//! the iterator's peel state persists between calls, so pulling the next
+//! community only pays for the additional prefix it uncovers. The lock
+//! serializes concurrent pulls on one session; closing a session drops
+//! it, and a pull in flight holds its own reference and finishes first.
 
-use std::sync::mpsc::{channel, Sender};
-use std::sync::Arc;
-use std::thread::JoinHandle;
+use std::panic::{catch_unwind, AssertUnwindSafe};
+use std::sync::{Arc, Mutex};
 
-use ic_core::query::Selection;
-use ic_core::{AlgorithmId, Community, TopKQuery};
+use ic_core::{Community, ProgressiveSearch, TopKQuery};
 use ic_graph::WeightedGraph;
 
 use crate::error::ServiceError;
-
-struct NextRequest {
-    n: usize,
-    reply: Sender<(Vec<Community>, bool)>,
-}
-
-enum Command {
-    Next(NextRequest),
-    Shutdown,
-}
+use crate::sync::lock_or_poison;
 
 /// Handle to one progressive session.
 #[derive(Debug)]
@@ -47,59 +27,25 @@ pub struct Session {
     /// this session live in *its* rank space, which may outlive the name's
     /// registry entry if the graph is re-registered mid-session.
     graph_instance: Arc<WeightedGraph>,
-    tx: Option<Sender<Command>>,
-    worker: Option<JoinHandle<()>>,
+    /// The stream; `None` once a pull panicked, which ends the session.
+    stream: Mutex<Option<std::iter::Peekable<ProgressiveSearch<Arc<WeightedGraph>>>>>,
 }
 
 impl Session {
     /// Opens a session streaming the influential γ-communities of `graph`
     /// in decreasing influence order.
     pub fn open(name: &str, graph: Arc<WeightedGraph>, gamma: u32) -> Result<Self, ServiceError> {
-        // Sessions are the streaming face of the unified query API: one
-        // TopKQuery, validated centrally, whose live stream the worker
-        // thread owns. Forcing the progressive algorithm makes the lazy
-        // cost profile explicit (Auto would pick it for streams anyway).
-        let query = TopKQuery::new(gamma).algorithm(Selection::Forced(AlgorithmId::Progressive));
+        // validated centrally, like every query the service runs
+        let query = TopKQuery::new(gamma);
         query
             .validate()
             .map_err(|e| ServiceError::InvalidQuery(e.to_string()))?;
-        let (tx, rx) = channel::<Command>();
-        let graph_for_worker = Arc::clone(&graph);
-        let worker = std::thread::Builder::new()
-            .name(format!("ic-session-{name}"))
-            .spawn(move || {
-                let Ok(stream) = query.stream(&graph_for_worker) else {
-                    // validated before spawn, so the builder and the
-                    // stream constructor can only disagree if an
-                    // invariant broke; ending the session (clients see
-                    // WorkerGone) beats panicking the worker
-                    return;
-                };
-                let mut stream = stream.peekable();
-                while let Ok(cmd) = rx.recv() {
-                    let req = match cmd {
-                        Command::Next(req) => req,
-                        Command::Shutdown => return,
-                    };
-                    let batch: Vec<Community> = stream.by_ref().take(req.n).collect();
-                    // `done` comes from the iterator itself, never from
-                    // batch emptiness (a NEXT with n=0 yields an empty
-                    // batch on a live stream). A short batch already
-                    // proves exhaustion; a full one needs a one-community
-                    // peek — work the next NEXT would do anyway.
-                    let done = batch.len() < req.n || stream.peek().is_none();
-                    if req.reply.send((batch, done)).is_err() {
-                        return; // requester gone; session is being torn down
-                    }
-                }
-            })
-            .map_err(|e| ServiceError::GraphLoad(format!("spawning session thread: {e}")))?;
+        let search = ProgressiveSearch::with_delta(Arc::clone(&graph), gamma, query.delta_value());
         Ok(Session {
             graph: name.to_string(),
             gamma,
             graph_instance: graph,
-            tx: Some(tx),
-            worker: Some(worker),
+            stream: Mutex::new(Some(search.peekable())),
         })
     }
 
@@ -110,56 +56,32 @@ impl Session {
         Arc::clone(&self.graph_instance)
     }
 
-    /// Pulls up to `n` further communities. The flag is `true` when the
-    /// stream is exhausted — derived from the session iterator, so a
-    /// zero-`n` probe reports it truthfully.
+    /// Pulls up to `n` further communities on the caller's thread. The
+    /// flag is `true` when the stream is exhausted — derived from the
+    /// session iterator, so a zero-`n` probe reports it truthfully.
+    ///
+    /// The pull runs under `catch_unwind` with the stream taken out of its
+    /// slot, which gets it back only if the pull returns: a panic answers
+    /// [`ServiceError::WorkerGone`] now and on every later pull, and the
+    /// slot never holds a half-advanced iterator.
     pub fn next_batch(&self, n: usize) -> Result<(Vec<Community>, bool), ServiceError> {
-        self.client()?.next_batch(n)
-    }
-
-    /// A detached requester for this session. Cloning the underlying
-    /// sender lets callers issue `NEXT` without keeping any lock on the
-    /// session table while the iterator works.
-    pub fn client(&self) -> Result<SessionClient, ServiceError> {
-        let tx = self.tx.as_ref().ok_or(ServiceError::WorkerGone)?;
-        Ok(SessionClient { tx: tx.clone() })
-    }
-}
-
-/// A cheap, clonable handle issuing `NEXT` requests to a session thread.
-/// Closing the owning [`Session`] terminates the stream even while
-/// clients exist: requests already queued before the shutdown are served,
-/// later ones fail with [`ServiceError::WorkerGone`].
-#[derive(Debug, Clone)]
-pub struct SessionClient {
-    tx: Sender<Command>,
-}
-
-impl SessionClient {
-    /// Pulls up to `n` further communities; the flag reports exhaustion
-    /// (asked of the iterator even when `n` is 0, so probes are honest).
-    pub fn next_batch(&self, n: usize) -> Result<(Vec<Community>, bool), ServiceError> {
-        let (reply_tx, reply_rx) = channel();
-        self.tx
-            .send(Command::Next(NextRequest { n, reply: reply_tx }))
-            .map_err(|_| ServiceError::WorkerGone)?;
-        reply_rx.recv().map_err(|_| ServiceError::WorkerGone)
-    }
-}
-
-impl Drop for Session {
-    fn drop(&mut self) {
-        if let Some(tx) = self.tx.take() {
-            // Explicit shutdown rather than relying on disconnect: a live
-            // SessionClient clone would keep the channel connected, and
-            // the join below must never wait on one.
-            // lint:allow(IC-RESULT): worker already gone means already shut down
-            let _ = tx.send(Command::Shutdown);
-        }
-        if let Some(worker) = self.worker.take() {
-            // lint:allow(IC-RESULT): Drop cannot propagate a join error
-            let _ = worker.join();
-        }
+        let mut slot = lock_or_poison(&self.stream);
+        let mut stream = slot.take().ok_or(ServiceError::WorkerGone)?;
+        // AssertUnwindSafe: a panic drops the stream, the only state the
+        // closure touches.
+        let pulled = catch_unwind(AssertUnwindSafe(move || {
+            let batch: Vec<Community> = stream.by_ref().take(n).collect();
+            // `done` comes from the iterator itself, never from batch
+            // emptiness (a NEXT with n=0 yields an empty batch on a live
+            // stream). A short batch already proves exhaustion; a full
+            // one needs a one-community peek — work the next NEXT would
+            // do anyway.
+            let done = batch.len() < n || stream.peek().is_none();
+            (stream, batch, done)
+        }));
+        let (stream, batch, done) = pulled.map_err(|_| ServiceError::WorkerGone)?;
+        *slot = Some(stream);
+        Ok((batch, done))
     }
 }
 
@@ -215,13 +137,6 @@ mod tests {
     }
 
     #[test]
-    fn drop_joins_the_thread() {
-        let session = Session::open("g", Arc::new(figure3()), 3).unwrap();
-        let _ = session.next_batch(1).unwrap();
-        drop(session); // must not hang or leak
-    }
-
-    #[test]
     fn done_flag_tracks_the_iterator_exactly() {
         let g = Arc::new(figure3());
         let total = TopKQuery::new(3)
@@ -241,17 +156,6 @@ mod tests {
                 break;
             }
         }
-    }
-
-    #[test]
-    fn drop_does_not_block_on_a_live_client() {
-        let session = Session::open("g", Arc::new(figure3()), 3).unwrap();
-        let client = session.client().unwrap();
-        drop(session); // would deadlock if shutdown relied on disconnect
-        assert!(matches!(
-            client.next_batch(1),
-            Err(ServiceError::WorkerGone)
-        ));
     }
 
     #[test]

@@ -137,7 +137,7 @@ fn concurrent_mixed_workload_matches_single_threaded_search() {
                 let id = svc.open_session(graph, gamma).expect("session opens");
                 let mut streamed = Vec::new();
                 loop {
-                    let batch = svc.session_next(id, 3).expect("session next");
+                    let (batch, _) = svc.session_next_full(id, 3).expect("session next");
                     if batch.is_empty() {
                         break;
                     }
@@ -493,4 +493,40 @@ fn replace_graph_mid_flight_never_serves_stale_answers() {
         stats.cache_misses >= 3,
         "each generation must have computed at least once: {stats:?}"
     );
+}
+
+/// Four threads pull one session at once. Its lock serializes the pulls,
+/// so the threads split the stream: each thread's share comes in
+/// decreasing influence, and the shares together hold every community
+/// exactly once.
+#[test]
+fn concurrent_pulls_on_one_session_split_the_stream() {
+    let g = assemble(2000, &gnm(2000, 8000, 17), WeightKind::Uniform(17));
+    let expected = reference_top_k(&g, 3, usize::MAX / 4);
+    assert!(expected.len() > 8, "too few communities to split");
+    let svc = Service::with_defaults();
+    svc.register("gnm", g);
+    let id = svc.open_session("gnm", 3).expect("session opens");
+    let start = std::sync::Barrier::new(4);
+    let pull_share = || {
+        start.wait();
+        let mut share: Vec<Community> = Vec::new();
+        loop {
+            let (batch, done) = svc.session_next_full(id, 2).expect("session next");
+            share.extend(batch);
+            if done {
+                return share;
+            }
+        }
+    };
+    let shares: Vec<Vec<Community>> = std::thread::scope(|s| {
+        let pullers: Vec<_> = (0..4).map(|_| s.spawn(pull_share)).collect();
+        pullers.into_iter().map(|p| p.join().unwrap()).collect()
+    });
+    for share in &shares {
+        assert!(share.windows(2).all(|w| w[0].influence > w[1].influence));
+    }
+    let mut union: Vec<Community> = shares.into_iter().flatten().collect();
+    union.sort_by(|a, b| b.influence.total_cmp(&a.influence));
+    assert_eq!(union, expected);
 }
