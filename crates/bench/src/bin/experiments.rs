@@ -18,7 +18,7 @@ use ic_core::semi_external::{local_search_se_top_k, online_all_se_top_k};
 use ic_core::{noncontainment, progressive, truss, TopKQuery};
 use ic_graph::generators::{assemble, collaboration, WeightKind};
 use ic_graph::stats::graph_stats;
-use ic_graph::DiskGraph;
+use ic_graph::{save_icsr, FileCsr};
 use std::time::Instant;
 
 /// Graphs the paper also runs OnlineAll on (it goes out of memory on the
@@ -498,7 +498,9 @@ fn fig16_17(scale: Scale, runs: usize, memory: bool) {
         };
         header(&format!("{fig} ({name}, γ={gamma}): {metric}, vary k"));
         let g = dataset(name, scale);
-        let dg = DiskGraph::create(g, dir.join(format!("{name}.bin"))).expect("spill");
+        let path = dir.join(format!("{name}.icsr"));
+        save_icsr(g, &path).expect("spill");
+        let store = FileCsr::open(&path).expect("open spilled graph");
         series_header(
             "k =",
             &K_SWEEP.iter().map(|x| x.to_string()).collect::<Vec<_>>(),
@@ -506,18 +508,18 @@ fn fig16_17(scale: Scale, runs: usize, memory: bool) {
         let mut oa_row = Vec::new();
         let mut ls_row = Vec::new();
         if memory {
-            let (_, oa) = online_all_se_top_k(&dg, gamma, 10).expect("OA-SE");
+            let (_, oa) = online_all_se_top_k(&store, gamma, 10).expect("OA-SE");
             for &k in &K_SWEEP {
-                let (_, ls) = local_search_se_top_k(&dg, gamma, k).expect("LS-SE");
+                let (_, ls) = local_search_se_top_k(&store, gamma, k).expect("LS-SE");
                 oa_row.push(Some(oa.peak_resident_edges as f64));
                 ls_row.push(Some(ls.peak_resident_edges as f64));
             }
         } else {
-            let oa_once = time_once_ms(|| online_all_se_top_k(&dg, gamma, 10).expect("OA-SE"));
+            let oa_once = time_once_ms(|| online_all_se_top_k(&store, gamma, 10).expect("OA-SE"));
             for &k in &K_SWEEP {
                 oa_row.push(Some(oa_once));
                 ls_row.push(Some(avg_ms(runs, || {
-                    local_search_se_top_k(&dg, gamma, k).expect("LS-SE")
+                    local_search_se_top_k(&store, gamma, k).expect("LS-SE")
                 })));
             }
         }

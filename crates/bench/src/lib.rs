@@ -1,6 +1,7 @@
-//! Shared harness for the evaluation reproduction: cached datasets, timing
-//! helpers, and table formatting used by both the `experiments` binary and
-//! the criterion benches.
+//! Shared harness for the evaluation reproduction: cached datasets for the
+//! `experiments` binary (the one harness that times the paper's figures)
+//! and the serving-stack criterion benches, plus the timing helpers and
+//! table formatting `experiments` prints its series with.
 
 use std::collections::HashMap;
 use std::sync::{Mutex, OnceLock};
@@ -12,9 +13,9 @@ use ic_graph::WeightedGraph;
 /// Dataset scale for a run.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Scale {
-    /// Full harness scale (the `experiments` binary).
+    /// Full harness scale (the `experiments` binary's default).
     Bench,
-    /// ~16x smaller (criterion benches, CI).
+    /// ~16x smaller (`experiments --small`, criterion benches, CI).
     Small,
 }
 

@@ -60,8 +60,8 @@
 //! * [`truss`] — the γ-truss instantiation of the generalized framework
 //!   (§5.2, Algorithms 6–7); reachable via [`AlgorithmId::Truss`].
 //! * [`semi_external`] — disk-resident variants (LocalSearch-SE,
-//!   OnlineAll-SE) over [`ic_graph::DiskGraph`]; these run on a different
-//!   substrate and keep their own entry points.
+//!   OnlineAll-SE) over an `.icsr` [`ic_graph::FileCsr`]; these run on a
+//!   different substrate and keep their own entry points.
 //! * [`naive`] — definition-level reference implementations used to verify
 //!   all of the above.
 //! * [`query_weights`] — ad-hoc query-dependent weights (closest

@@ -3,12 +3,13 @@
 //!
 //! The semi-external model keeps `O(n)` per-vertex information in memory
 //! (weights, degrees, flags) while edges live on disk, sorted by
-//! decreasing edge weight ([`ic_graph::DiskGraph`]). Because the file
-//! order equals prefix order, `LocalSearch-SE` — the disk-backed
-//! LocalSearch-P — reads exactly the prefix it grows, giving I/O and
-//! resident-memory proportional to `size(G≥τ*)`. `OnlineAll-SE` must
-//! stream the **whole file** before it can report anything, because
-//! OnlineAll discovers communities in increasing influence order.
+//! decreasing edge weight (the adjacency section of an `.icsr`
+//! [`ic_graph::FileCsr`]). Because the file order equals prefix order,
+//! `LocalSearch-SE` — the disk-backed LocalSearch-P — reads exactly the
+//! prefix it grows, giving I/O and resident-memory proportional to
+//! `size(G≥τ*)`. `OnlineAll-SE` must stream the **whole file** before it
+//! can report anything, because OnlineAll discovers communities in
+//! increasing influence order.
 //!
 //! At the scales this repository runs, the entire graph fits the paper's
 //! 1 GB budget, so the eviction machinery of Li et al.'s semi-external
@@ -81,9 +82,8 @@ impl PeelGraph for ResidentGraph {
 /// [`crate::progressive::ProgressiveSearch`], but prefix growth performs
 /// real file reads (counted) and the resident subgraph is built
 /// incrementally from the records. Generic over every
-/// [`SemiExternalSource`] backend: record-pair [`ic_graph::DiskGraph`]
-/// files, `.icsr` [`ic_graph::FileCsr`] stores, and (with zero I/O) the
-/// in-memory [`ic_graph::WeightedGraph`].
+/// [`SemiExternalSource`] backend: `.icsr` [`ic_graph::FileCsr`] stores
+/// and (with zero I/O) the in-memory [`ic_graph::WeightedGraph`].
 pub fn local_search_se_top_k<S: SemiExternalSource>(
     dg: &S,
     gamma: u32,
@@ -215,10 +215,12 @@ mod tests {
     use ic_graph::generators::{assemble, barabasi_albert, WeightKind};
     use ic_graph::paper::figure3;
     use ic_graph::scratch::ScratchDir;
-    use ic_graph::{DiskGraph, WeightedGraph};
+    use ic_graph::{save_icsr, FileCsr, WeightedGraph};
 
-    fn disk(g: &WeightedGraph, dir: &ScratchDir, name: &str) -> DiskGraph {
-        DiskGraph::create(g, dir.file(name)).unwrap()
+    fn disk(g: &WeightedGraph, dir: &ScratchDir, name: &str) -> FileCsr {
+        let path = dir.file(name);
+        save_icsr(g, &path).unwrap();
+        FileCsr::open(&path).unwrap()
     }
 
     #[test]

@@ -18,19 +18,17 @@
 //! * [`pagerank`] — the vertex-weight rule used throughout the paper's
 //!   evaluation (PageRank with damping 0.85).
 //! * [`io`] — text and binary persistence.
-//! * [`disk`] — a disk-resident edge store sorted by decreasing edge weight
-//!   with byte-level I/O accounting, the substrate for the semi-external
-//!   algorithms (Eval-VI).
 //! * [`store`] — pluggable storage backends behind one [`GraphStore`]
 //!   seam: the in-memory CSR plus a file-backed `.icsr` CSR opened under
-//!   a memory budget, and the [`store::SemiExternalSource`] trait the
-//!   semi-external executors are generic over.
+//!   a memory budget, whose adjacency is sorted by decreasing edge weight
+//!   and read with byte-level [`IoStats`] accounting, and the
+//!   [`store::SemiExternalSource`] trait the semi-external executors
+//!   (Eval-VI) are generic over.
 //! * [`stats`] — the statistics of Table 1 (n, m, dmax, davg, γmax).
 //! * [`scratch`] — unique, self-cleaning temp directories for the
 //!   disk-backed test suites across the workspace.
 
 pub mod builder;
-pub mod disk;
 pub mod generators;
 pub mod graph;
 pub mod io;
@@ -44,12 +42,11 @@ pub mod store;
 pub mod suite;
 
 pub use builder::{GraphBuilder, GraphError};
-pub use disk::{DiskGraph, EdgeCursor, IoStats};
 pub use graph::{Rank, WeightedGraph};
 pub use prefix::Prefix;
 pub use rng::Pcg32;
 pub use stats::GraphStats;
 pub use store::{
-    save_icsr, FileCsr, FileCsrEdges, GraphStore, MemEdges, PrefixEdges, SemiExternalSource,
-    StorageKind, ICSR_RECORD_BYTES,
+    save_icsr, FileCsr, FileCsrEdges, GraphStore, IoStats, MemEdges, PrefixEdges,
+    SemiExternalSource, StorageKind, ICSR_RECORD_BYTES,
 };

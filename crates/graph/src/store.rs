@@ -1,27 +1,26 @@
 //! Pluggable graph storage backends: the `GraphStore` seam.
 //!
-//! The serving layer historically held only fully in-memory
-//! [`WeightedGraph`]s; the semi-external algorithms (Eval-VI/VII) lived
-//! off to the side on the record-stream [`DiskGraph`]. This module makes
-//! the storage backend a first-class dimension:
+//! The semi-external model of §3.1 (Eval-VI/VII) keeps O(n) vertex data
+//! in memory and streams the edges sorted by decreasing edge weight.
+//! This module holds the one on-disk edge format and the storage
+//! backends the service registry serves:
 //!
 //! * [`FileCsr`] — a file-backed CSR in the `.icsr` format: a 32-byte
 //!   header, then the O(n) vertex sections (external ids, weights,
 //!   cumulative offsets) which are loaded into memory under a
 //!   configurable budget, then the adjacency section (one `u32`
 //!   higher-endpoint rank per edge) which stays on disk. Records are in
-//!   the same prefix order as [`DiskGraph`] — ascending lower-endpoint
-//!   rank, i.e. decreasing edge weight — so the induced prefix subgraph
-//!   `G≥τ` is a prefix of the adjacency section and `LocalSearch-SE`
-//!   reads only as many bytes as the prefix it grows. Exactly the
-//!   semi-external model of §3.1: O(n) vertex data resident, edges
-//!   streamed.
+//!   prefix order — ascending lower-endpoint rank, i.e. decreasing edge
+//!   weight — so the induced prefix subgraph `G≥τ` is a prefix of the
+//!   adjacency section and `LocalSearch-SE` reads only as many bytes as
+//!   the prefix it grows.
 //! * [`PrefixEdges`] / [`SemiExternalSource`] — the traits the
 //!   semi-external executors are generic over, implemented by
-//!   [`DiskGraph`]/[`EdgeCursor`], [`FileCsr`]/[`FileCsrEdges`], and
-//!   [`WeightedGraph`]/[`MemEdges`] (an adapter that walks the in-memory
-//!   CSR in file order with zero I/O, so one differential test can pit
-//!   every backend against the same reference).
+//!   [`FileCsr`]/[`FileCsrEdges`] and [`WeightedGraph`]/[`MemEdges`] (an
+//!   adapter that walks the in-memory CSR in file order with zero I/O,
+//!   so one differential test can pit the file against the same
+//!   reference).
+//! * [`IoStats`] — the read-side accounting every edge reader reports.
 //! * [`GraphStore`] — the enum the service registry holds instead of a
 //!   bare `Arc<WeightedGraph>`: memory-resident or file-backed, with
 //!   cumulative per-store I/O totals for the `STATS` verb.
@@ -51,7 +50,6 @@ use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
-use crate::disk::{DiskGraph, EdgeCursor, IoStats};
 use crate::graph::{Rank, WeightedGraph};
 use crate::stats::{graph_stats, GraphStats};
 
@@ -62,6 +60,33 @@ const HEADER_BYTES: u64 = 32;
 /// `u32` higher-endpoint rank (the lower endpoint is implicit from the
 /// offsets section).
 pub const ICSR_RECORD_BYTES: usize = 4;
+
+/// Read-side accounting for an edge reader.
+#[derive(Debug, Default, Clone, Copy, PartialEq, Eq)]
+pub struct IoStats {
+    /// Total bytes delivered to the caller.
+    pub bytes_read: u64,
+    /// Number of read operations issued to the underlying file.
+    pub read_ops: u64,
+}
+
+impl IoStats {
+    /// Number of `.icsr` adjacency records read.
+    pub fn edges_read(&self) -> u64 {
+        self.bytes_read / ICSR_RECORD_BYTES as u64
+    }
+
+    /// The I/O performed since `earlier` was snapshotted — the per-query
+    /// attribution the serving layer's traces record. Counters are
+    /// monotone per store; saturating keeps a racy or mismatched
+    /// baseline harmless (a zero delta, never a wrapped giant).
+    pub fn delta_since(self, earlier: IoStats) -> IoStats {
+        IoStats {
+            bytes_read: self.bytes_read.saturating_sub(earlier.bytes_read),
+            read_ops: self.read_ops.saturating_sub(earlier.read_ops),
+        }
+    }
+}
 
 /// Default memory budget for the resident vertex sections of a
 /// [`FileCsr`]: 1 GiB, enough for ~44 M vertices.
@@ -322,9 +347,8 @@ impl FileCsrEdges<'_> {
 
     /// Reads exactly the edges of the prefix subgraph `G≥τ` with `t`
     /// vertices (those not already consumed), appending them to `out`.
-    /// Unlike [`EdgeCursor::read_prefix_edges`] no pushback is needed:
-    /// the resident offsets say in advance how many records belong to
-    /// the prefix.
+    /// The resident offsets say in advance how many records belong to
+    /// the prefix, so the reader never reads past it.
     pub fn read_prefix_edges(&mut self, t: usize, out: &mut Vec<(Rank, Rank)>) -> io::Result<()> {
         let target = self.store.offsets[t.min(self.store.n())];
         while self.consumed < target {
@@ -349,9 +373,8 @@ impl FileCsrEdges<'_> {
 
 /// Abstraction over a prefix-ordered edge stream with I/O accounting —
 /// the read side of the semi-external model. Implemented by
-/// [`EdgeCursor`] (record-pair [`DiskGraph`] files), [`FileCsrEdges`]
-/// (`.icsr` adjacency sections) and [`MemEdges`] (in-memory CSR walked
-/// in file order, zero I/O).
+/// [`FileCsrEdges`] (`.icsr` adjacency sections) and [`MemEdges`]
+/// (in-memory CSR walked in file order, zero I/O).
 pub trait PrefixEdges {
     /// Reads the next edge `(lower_rank, higher_rank)`; `None` at EOF.
     fn next_edge(&mut self) -> io::Result<Option<(Rank, Rank)>>;
@@ -362,20 +385,6 @@ pub trait PrefixEdges {
 
     /// I/O performed through this reader so far.
     fn io_stats(&self) -> IoStats;
-}
-
-impl PrefixEdges for EdgeCursor {
-    fn next_edge(&mut self) -> io::Result<Option<(Rank, Rank)>> {
-        EdgeCursor::next_edge(self)
-    }
-
-    fn read_prefix_edges(&mut self, t: usize, out: &mut Vec<(Rank, Rank)>) -> io::Result<()> {
-        EdgeCursor::read_prefix_edges(self, t, out)
-    }
-
-    fn io_stats(&self) -> IoStats {
-        self.stats()
-    }
 }
 
 impl PrefixEdges for FileCsrEdges<'_> {
@@ -445,8 +454,8 @@ impl PrefixEdges for MemEdges<'_> {
 
 /// A graph whose O(n) vertex data is memory resident and whose edges can
 /// be streamed in prefix order — the substrate the semi-external
-/// executors are generic over. Implemented by [`DiskGraph`],
-/// [`FileCsr`] and (with zero I/O) [`WeightedGraph`].
+/// executors are generic over. Implemented by [`FileCsr`] and (with
+/// zero I/O) [`WeightedGraph`].
 pub trait SemiExternalSource {
     /// The edge reader type; borrows the source.
     type Edges<'a>: PrefixEdges
@@ -463,30 +472,6 @@ pub trait SemiExternalSource {
     fn external_id(&self, r: Rank) -> u64;
     /// Opens a fresh edge reader at the start of the stream.
     fn open_edges(&self) -> io::Result<Self::Edges<'_>>;
-}
-
-impl SemiExternalSource for DiskGraph {
-    type Edges<'a> = EdgeCursor;
-
-    fn n(&self) -> usize {
-        DiskGraph::n(self)
-    }
-
-    fn m(&self) -> usize {
-        DiskGraph::m(self)
-    }
-
-    fn weight(&self, r: Rank) -> f64 {
-        DiskGraph::weight(self, r)
-    }
-
-    fn external_id(&self, r: Rank) -> u64 {
-        DiskGraph::external_id(self, r)
-    }
-
-    fn open_edges(&self) -> io::Result<EdgeCursor> {
-        self.cursor()
-    }
 }
 
 impl SemiExternalSource for FileCsr {
@@ -662,43 +647,42 @@ mod tests {
     }
 
     #[test]
-    fn icsr_stream_equals_disk_graph_stream() {
+    fn icsr_stream_equals_mem_edges_stream() {
         let dir = ScratchDir::new("ic-store");
         let g = sample();
         let path = dir.file("g.icsr");
         save_icsr(&g, &path).unwrap();
         let f = FileCsr::open(&path).unwrap();
-        let dg = DiskGraph::create(&g, dir.file("g.bin")).unwrap();
         let mut fe = f.edges().unwrap();
-        let mut de = dg.cursor().unwrap();
+        let mut me = MemEdges::new(&g);
         loop {
             let a = fe.next_edge().unwrap();
-            let b = de.next_edge().unwrap();
-            assert_eq!(a, b, "icsr and record-pair streams must agree");
+            let b = me.next_edge().unwrap();
+            assert_eq!(a, b, "icsr and in-memory streams must agree");
             if a.is_none() {
                 break;
             }
         }
-        // half the bytes: 4 per record instead of 8
-        assert_eq!(fe.stats().bytes_read * 2, de.stats().bytes_read);
+        assert_eq!(fe.stats().edges_read(), g.m() as u64);
+        assert_eq!(me.io_stats(), IoStats::default(), "memory walk has no I/O");
     }
 
     #[test]
-    fn mem_edges_equals_disk_stream() {
-        let dir = ScratchDir::new("ic-store");
-        let g = sample();
-        let dg = DiskGraph::create(&g, dir.file("g.bin")).unwrap();
-        let mut me = MemEdges::new(&g);
-        let mut de = dg.cursor().unwrap();
-        loop {
-            let a = me.next_edge().unwrap();
-            let b = de.next_edge().unwrap();
-            assert_eq!(a, b);
-            if a.is_none() {
-                break;
-            }
-        }
-        assert_eq!(me.io_stats(), IoStats::default(), "memory walk has no I/O");
+    fn io_stats_delta_is_saturating() {
+        let early = IoStats {
+            bytes_read: 100,
+            read_ops: 3,
+        };
+        let late = IoStats {
+            bytes_read: 900,
+            read_ops: 10,
+        };
+        let d = late.delta_since(early);
+        assert_eq!(d.bytes_read, 800);
+        assert_eq!(d.read_ops, 7);
+        // a mismatched baseline saturates to zero instead of wrapping
+        let z = early.delta_since(late);
+        assert_eq!(z, IoStats::default());
     }
 
     #[test]

@@ -228,7 +228,8 @@ fn accept_loop<A: Accept>(
     }
 }
 
-/// Serves one client until `QUIT`, EOF, or an I/O error.
+/// Serves one client until `QUIT`, EOF, a reset from the client, or an
+/// I/O error.
 pub fn handle_connection(stream: TcpStream, svc: &Arc<Service>) -> io::Result<()> {
     handle_connection_with(stream, svc, ServerOptions::default())
 }
@@ -296,7 +297,8 @@ enum LineRead {
     Line,
     /// The line blew past [`MAX_LINE_BYTES`]; it was drained, not buffered.
     Oversized,
-    /// EOF, or the idle timeout fired: close cleanly.
+    /// EOF, a reset from the client, or the idle timeout fired: close
+    /// cleanly.
     Closed,
 }
 
@@ -312,6 +314,10 @@ enum LineRead {
 /// each one delivered at least one new byte; only a mid-line client that
 /// stays completely silent for a full extra period is treated as
 /// half-open and closed (the partial line is discarded, never executed).
+///
+/// A reset or abort means the client left, typically between requests
+/// without reading its last reply: it closes like EOF, and a partial line
+/// is discarded, since no reply could reach the client.
 fn read_request_line(reader: &mut BufReader<TcpStream>, buf: &mut Vec<u8>) -> io::Result<LineRead> {
     // usize::MAX = "no timeout seen since the last byte arrived"
     let mut len_at_last_timeout = usize::MAX;
@@ -336,6 +342,14 @@ fn read_request_line(reader: &mut BufReader<TcpStream>, buf: &mut Vec<u8>) -> io
                 continue;
             }
             Err(e) if e.kind() == io::ErrorKind::Interrupted => continue,
+            Err(e)
+                if matches!(
+                    e.kind(),
+                    io::ErrorKind::ConnectionReset | io::ErrorKind::ConnectionAborted
+                ) =>
+            {
+                return Ok(LineRead::Closed)
+            }
             Err(e) => return Err(e),
         };
         if n > 0 {
@@ -887,12 +901,21 @@ mod tests {
         });
 
         let mut client = TcpStream::connect(addr).unwrap();
-        // queue many multi-kilobyte METRICS replies and never read one:
-        // the server fills the client's receive window and blocks
-        for _ in 0..200 {
-            client.write_all(b"METRICS\n").unwrap();
+        // queue multi-kilobyte METRICS replies and never read one. Once
+        // the client's own writes block, the server's receive queue is
+        // full: it has unanswered requests queued (in practice its reply
+        // write is already blocked), so after the reset below its next
+        // reply write fails before any read could see the reset
+        client.set_nonblocking(true).unwrap();
+        let request = b"METRICS\n";
+        let mut sent = 0;
+        loop {
+            match client.write(&request[sent..]) {
+                Ok(n) => sent = (sent + n) % request.len(),
+                Err(e) if e.kind() == io::ErrorKind::WouldBlock => break,
+                Err(e) => panic!("client write failed: {e}"),
+            }
         }
-        std::thread::sleep(Duration::from_millis(100));
         // closing with unread data pending resets the connection, so the
         // server's in-flight write fails rather than seeing EOF
         drop(client);
@@ -909,6 +932,35 @@ mod tests {
         assert!(
             svc.metrics_text().contains("ic_write_errors_total"),
             "write_errors missing from the exposition"
+        );
+    }
+
+    /// A client that leaves between requests without reading its last
+    /// reply resets the connection, and the server's next read fails with
+    /// `ConnectionReset`. The client is gone, as at EOF: the handler
+    /// closes cleanly instead of reporting a connection error.
+    #[test]
+    fn reset_on_read_closes_cleanly() {
+        let svc = test_service();
+        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+        let addr = listener.local_addr().unwrap();
+        let svc_for_server = Arc::clone(&svc);
+        let server = std::thread::spawn(move || {
+            let (stream, _) = listener.accept().unwrap();
+            handle_connection_with(stream, &svc_for_server, ServerOptions::default())
+        });
+
+        let client = TcpStream::connect(addr).unwrap();
+        // wait for the greeting but leave it unread, so the close below
+        // sends a reset instead of a FIN
+        let mut first = [0u8; 1];
+        assert_eq!(client.peek(&mut first).unwrap(), 1, "no greeting");
+        drop(client);
+
+        let served = server.join().unwrap();
+        assert!(
+            served.is_ok(),
+            "a reset on read must close cleanly: {served:?}"
         );
     }
 }

@@ -5,11 +5,13 @@
 
 use ic_graph::generators::{assemble, barabasi_albert, gnm, WeightKind};
 use ic_graph::scratch::ScratchDir;
-use ic_graph::{DiskGraph, WeightedGraph};
+use ic_graph::{save_icsr, FileCsr, WeightedGraph};
 use influential_communities::search::{semi_external, TopKQuery};
 
-fn spill(g: &WeightedGraph, dir: &ScratchDir, name: &str) -> DiskGraph {
-    DiskGraph::create(g, dir.file(name)).unwrap()
+fn spill(g: &WeightedGraph, dir: &ScratchDir, name: &str) -> FileCsr {
+    let path = dir.file(name);
+    save_icsr(g, &path).unwrap();
+    FileCsr::open(&path).unwrap()
 }
 
 #[test]
