@@ -1,57 +1,28 @@
-//! IC-PANIC: no panicking constructs on serving paths.
+//! IC-PANIC: no release-build assertions on serving paths.
 //!
 //! A panic inside connection handling is a full-connection outage (and,
-//! off the catch_unwind'd worker pool, a poisoned lock), so the serving
-//! crate and the replayer's hot loop must reach errors through the
-//! typed surfaces instead. Flagged tokens:
-//!
-//! - `.unwrap()` / `.unwrap_err()` / `.expect(...)`
-//! - `panic!` / `unreachable!` / `todo!` / `unimplemented!`
-//! - `assert!` / `assert_eq!` / `assert_ne!` (debug_assert* is exempt:
-//!   compiled out of release serving builds)
-//! - literal slice indexes — `args[0]`, `rest[1..]` — the classic
-//!   untrusted-input out-of-bounds panic. Variable indexes are not
-//!   flagged; they are overwhelmingly loop counters over pre-sized
-//!   structures, and flagging them would drown the signal.
-//!
-//! `unwrap_or` / `unwrap_or_else` / `unwrap_or_default` never match:
-//! the token list requires the exact `()` or a following `(`.
+//! off the catch_unwind'd worker pool, a poisoned lock). The serving
+//! crate and the replayer deny clippy's `unwrap_used`, `expect_used`,
+//! `panic`, `unreachable`, `todo`, `unimplemented` and
+//! `indexing_slicing` outside tests; this check covers the one panicking
+//! construct clippy cannot single out: `assert!` / `assert_eq!` /
+//! `assert_ne!`. `debug_assert*` is exempt, because it is compiled out
+//! of release serving builds. Clippy's `disallowed_macros` cannot draw
+//! that line (`debug_assert!` expands to `assert!`, so it fires on both),
+//! and `panic_in_result_fn` misses asserts in functions that do not
+//! return a `Result`.
 
 use crate::checks::{serving_path, IC_PANIC};
 use crate::source::{contains_token, SourceFile};
 use crate::Finding;
 
-/// `(needle, what to say)` — matched as plain substrings against
-/// scrubbed code, so the exact spellings below cannot hit `unwrap_or*`
-/// or string/comment contents.
-const TOKENS: &[(&str, &str)] = &[
-    (".unwrap()", "`.unwrap()`"),
-    (".unwrap_err()", "`.unwrap_err()`"),
-    (".expect(", "`.expect(...)`"),
-    ("panic!(", "`panic!`"),
-    ("unreachable!(", "`unreachable!`"),
-    ("todo!(", "`todo!`"),
-    ("unimplemented!(", "`unimplemented!`"),
-];
-
-/// Macros that need token-boundary matching (plain substring search
-/// would hit them inside `debug_assert!`).
+/// Matched on token boundaries, so `debug_assert!` never hits.
 const ASSERT_MACROS: &[&str] = &["assert!", "assert_eq!", "assert_ne!"];
 
 pub fn run(files: &[SourceFile]) -> Vec<Finding> {
     let mut out = Vec::new();
     for file in files.iter().filter(|f| serving_path(f.rel())) {
         for line in file.lines().filter(|l| !l.in_test) {
-            for (needle, label) in TOKENS {
-                if line.code.contains(needle) {
-                    out.push(Finding {
-                        check: IC_PANIC,
-                        file: file.rel().to_string(),
-                        line: line.number,
-                        message: format!("{label} on a serving path"),
-                    });
-                }
-            }
             for mac in ASSERT_MACROS {
                 if contains_token(line.code, mac) {
                     out.push(Finding {
@@ -62,55 +33,9 @@ pub fn run(files: &[SourceFile]) -> Vec<Finding> {
                     });
                 }
             }
-            if let Some(example) = literal_index(line.code) {
-                out.push(Finding {
-                    check: IC_PANIC,
-                    file: file.rel().to_string(),
-                    line: line.number,
-                    message: format!(
-                        "literal slice index `{example}` can panic on short input; use a slice pattern or `.get(...)`"
-                    ),
-                });
-            }
         }
     }
     out
-}
-
-/// Finds an indexing expression with an integer-literal subscript or a
-/// literal-start range: `x[0]`, `x[1..]`, `x[2..5]`. Returns the
-/// matched snippet for the message. Array type/repeat syntax (`[u8; 4]`,
-/// `vec![0; n]`) never matches because the `[` there does not follow an
-/// identifier, `]`, or `)`.
-fn literal_index(code: &str) -> Option<String> {
-    let chars: Vec<char> = code.chars().collect();
-    for (i, &c) in chars.iter().enumerate() {
-        if c != '[' || i == 0 {
-            continue;
-        }
-        let prev = chars[i - 1];
-        if !(prev.is_alphanumeric() || prev == '_' || prev == ']' || prev == ')') {
-            continue;
-        }
-        // Attribute position: `#[...]` — prev char can't be `#` here,
-        // but `derive(...)]` style never precedes an index either way.
-        let mut j = i + 1;
-        let digits_start = j;
-        while j < chars.len() && chars[j].is_ascii_digit() {
-            j += 1;
-        }
-        if j == digits_start {
-            continue; // not a literal subscript
-        }
-        let rest: String = chars[j..].iter().collect();
-        let closes = chars.get(j) == Some(&']');
-        let ranges = rest.starts_with("..");
-        if closes || ranges {
-            let end = code[i..].find(']').map(|p| i + p + 1).unwrap_or(code.len());
-            return Some(code[i - 1..end].trim().to_string());
-        }
-    }
-    None
 }
 
 #[cfg(test)]
@@ -119,33 +44,6 @@ mod tests {
 
     fn findings(path: &str, src: &str) -> Vec<Finding> {
         run(&[SourceFile::new(path, src)])
-    }
-
-    #[test]
-    fn flags_unwrap_and_expect_in_scope() {
-        let f = findings(
-            "crates/service/src/x.rs",
-            "fn f() {\n    a.unwrap();\n    b.expect(\"nope\");\n}\n",
-        );
-        assert_eq!(f.len(), 2);
-        assert_eq!(f[0].line, 2);
-        assert_eq!(f[1].line, 3);
-    }
-
-    #[test]
-    fn ignores_unwrap_or_family_and_out_of_scope() {
-        assert!(findings(
-            "crates/service/src/x.rs",
-            "fn f() { a.unwrap_or(0); b.unwrap_or_else(|| 1); c.unwrap_or_default(); }\n",
-        )
-        .is_empty());
-        assert!(findings("crates/core/src/x.rs", "fn f() { a.unwrap(); }\n").is_empty());
-    }
-
-    #[test]
-    fn skips_tests_and_comments() {
-        let src = "// a.unwrap() in a comment\n#[cfg(test)]\nmod tests {\n    fn t() { a.unwrap(); }\n}\n";
-        assert!(findings("crates/service/src/x.rs", src).is_empty());
     }
 
     #[test]
@@ -159,25 +57,9 @@ mod tests {
     }
 
     #[test]
-    fn literal_index_heuristic() {
-        assert!(literal_index("let a = args[0];").is_some());
-        assert!(literal_index("let a = &args[1..];").is_some());
-        assert!(literal_index("let a = &rest[2..5];").is_some());
-        assert!(
-            literal_index("let a = v[i];").is_none(),
-            "variable index exempt"
-        );
-        assert!(
-            literal_index("let a: [u8; 4] = x;").is_none(),
-            "array type exempt"
-        );
-        assert!(
-            literal_index("let a = vec![0; n];").is_none(),
-            "repeat expr exempt"
-        );
-        assert!(
-            literal_index("let a = &v[..];").is_none(),
-            "full range exempt"
-        );
+    fn skips_tests_and_comments() {
+        let src = "// assert!(x) in a comment\n#[cfg(test)]\nmod tests {\n    fn t() { assert_eq!(a, b); }\n}\n";
+        assert!(findings("crates/service/src/x.rs", src).is_empty());
+        assert!(findings("crates/core/src/x.rs", "fn f() { assert!(x); }\n").is_empty());
     }
 }

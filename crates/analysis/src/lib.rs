@@ -1,14 +1,16 @@
 //! `ic-analysis`: workspace-aware static analysis for the
 //! influential-communities repo (the `ic-lint` binary).
 //!
-//! The last eight PRs established serving-path invariants by
-//! convention: no panics on connection-handling paths, no lock held
-//! across blocking I/O, every protocol verb documented/fuzzed/counted,
-//! every `AlgorithmId` variant wired end-to-end, no silently dropped
-//! `Result`s on write paths. This crate turns those conventions into
-//! CI-enforced checks — line/token-level analysis over scrubbed
-//! sources (see [`source`]), no rustc plugin, std-only like the rest
-//! of the workspace.
+//! It checks the serving-path rules that neither rustc nor clippy can
+//! express: no release-build `assert!` on connection-handling paths, no
+//! lock held across blocking I/O, every protocol verb
+//! documented/fuzzed/counted. The rest is the compiler's job: the
+//! serving crate and the load replayer deny clippy's panic and
+//! indexing lints, the serving and dynamic-update crates deny
+//! `let_underscore_must_use`, and `AlgorithmId`'s variants, `ALL` table
+//! and names come from one list. The checks are line/token-level
+//! analysis over scrubbed sources (see [`source`]), no rustc plugin,
+//! std-only like the rest of the workspace.
 //!
 //! Findings are suppressed only by the *pair* of a `lint:allow(ID)`
 //! marker at the site and a justified entry in `lint-allow.toml` (see
@@ -216,15 +218,15 @@ fn rel_path(root: &Path, p: &Path) -> String {
 mod tests {
     use super::*;
 
-    fn panic_file(marker: bool) -> SourceFile {
+    fn lock_file(marker: bool) -> SourceFile {
         let m = if marker {
-            " // lint:allow(IC-PANIC): audited"
+            " // lint:allow(IC-LOCK): audited"
         } else {
             ""
         };
         SourceFile::new(
             "crates/service/src/x.rs",
-            &format!("fn f() {{\n    a.unwrap();{m}\n}}\n"),
+            &format!("fn f() {{\n    rx.lock().unwrap().recv();{m}\n}}\n"),
         )
     }
 
@@ -232,7 +234,7 @@ mod tests {
         Allowlist::parse(
             "lint-allow.toml",
             &format!(
-                "[[allow]]\ncheck = \"IC-PANIC\"\nfile = \"crates/service/src/x.rs\"\ncontext = \"{context}\"\njustification = \"{justification}\"\n"
+                "[[allow]]\ncheck = \"IC-LOCK\"\nfile = \"crates/service/src/x.rs\"\ncontext = \"{context}\"\njustification = \"{justification}\"\n"
             ),
         )
         .unwrap()
@@ -240,7 +242,7 @@ mod tests {
 
     #[test]
     fn marker_plus_entry_suppresses() {
-        let ws = Workspace::from_files(vec![panic_file(true)], allow("a.unwrap()", "fine"));
+        let ws = Workspace::from_files(vec![lock_file(true)], allow(".recv()", "fine"));
         let r = ws.run();
         assert!(r.findings.is_empty(), "{:?}", r.findings);
         assert_eq!(r.suppressed, 1);
@@ -248,7 +250,7 @@ mod tests {
 
     #[test]
     fn marker_without_entry_does_not_suppress() {
-        let ws = Workspace::from_files(vec![panic_file(true)], Allowlist::default());
+        let ws = Workspace::from_files(vec![lock_file(true)], Allowlist::default());
         let r = ws.run();
         assert_eq!(r.findings.len(), 1);
         assert_eq!(r.suppressed, 0);
@@ -256,7 +258,7 @@ mod tests {
 
     #[test]
     fn entry_without_marker_is_stale_and_does_not_suppress() {
-        let ws = Workspace::from_files(vec![panic_file(false)], allow("a.unwrap()", "fine"));
+        let ws = Workspace::from_files(vec![lock_file(false)], allow(".recv()", "fine"));
         let r = ws.run();
         // The original finding plus the stale-entry finding.
         assert_eq!(r.findings.len(), 2, "{:?}", r.findings);
@@ -265,7 +267,7 @@ mod tests {
 
     #[test]
     fn empty_justification_is_a_finding_even_when_matching() {
-        let ws = Workspace::from_files(vec![panic_file(true)], allow("a.unwrap()", ""));
+        let ws = Workspace::from_files(vec![lock_file(true)], allow(".recv()", ""));
         let r = ws.run();
         assert_eq!(r.suppressed, 1);
         assert_eq!(r.findings.len(), 1, "{:?}", r.findings);

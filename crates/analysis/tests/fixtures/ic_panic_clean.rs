@@ -1,24 +1,20 @@
 // IC-PANIC near-misses: none of these may produce a finding, even when
 // this file is scanned under a serving-path name.
 
-pub fn handle(input: &str, parts: Vec<&str>, i: usize) -> String {
-    // the panic token only appears inside a string and a comment: .unwrap()
-    let s = "call .unwrap() and panic!(now)";
-    debug_assert!(!parts.is_empty()); // debug-only, compiled out in release
-    debug_assert_eq!(i, i);
-    let first = parts.first().copied().unwrap_or_default(); // not bare unwrap
-    let all = &parts[..]; // full-range borrow, no literal index
-    let ith = parts.get(i); // variable access goes through get
-    let n: usize = input.parse().unwrap_or(0);
-    format!("{s} {first} {ith:?} {n} {}", all.len())
+pub fn handle(input: &str, n: usize) -> String {
+    // the assert token only appears inside a string and a comment: assert!(x)
+    let s = "call assert!(now) and assert_eq!(a, b)";
+    debug_assert!(n > 0); // debug-only, compiled out in release
+    debug_assert_eq!(n, n);
+    debug_assert_ne!(n, usize::MAX);
+    format!("{s} {input}")
 }
 
 #[cfg(test)]
 mod tests {
-    // unwraps under #[cfg(test)] never ship in a serving build
+    // asserts under #[cfg(test)] never ship in a serving build
     #[test]
-    fn test_only_unwrap_is_fine() {
-        let v: Vec<u32> = "1".split(',').map(|s| s.parse().unwrap()).collect();
-        assert_eq!(v[0], 1);
+    fn test_only_assert_is_fine() {
+        assert_eq!(1 + 1, 2);
     }
 }

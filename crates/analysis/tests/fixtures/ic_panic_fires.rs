@@ -1,17 +1,9 @@
 // IC-PANIC fixture: every line marked FIRE must produce a finding when
 // this file is scanned under a serving-path name.
 
-pub fn handle(input: &str, parts: Vec<&str>) -> String {
-    let n: usize = input.parse().unwrap(); // FIRE: unwrap on a serving path
-    let first = parts[0]; // FIRE: literal index
-    let tail = &parts[1..]; // FIRE: literal range start
+pub fn handle(n: usize, parts: &[&str]) -> usize {
     assert!(n > 0, "bad n"); // FIRE: assert! panics in release
-    let got = std::fs::read_to_string(first).expect("readable"); // FIRE: expect
-    if got.is_empty() {
-        panic!("empty input"); // FIRE: panic!
-    }
-    match n {
-        0 => unreachable!(), // FIRE: unreachable!
-        _ => format!("{n} {}", tail.len()),
-    }
+    assert_eq!(parts.len(), n); // FIRE: assert_eq!
+    assert_ne!(n, 7); // FIRE: assert_ne!
+    n
 }

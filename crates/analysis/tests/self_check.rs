@@ -1,7 +1,8 @@
 //! The workspace must pass its own lint: `cargo test -p ic-analysis`
-//! fails the moment a serving-path panic, a held-lock blocking call, a
-//! swallowed Result, or protocol/algorithm drift lands — the same gate
-//! CI's `ic-lint --deny` run enforces, minus the shell.
+//! fails the moment a serving-path `assert!`, a held-lock blocking
+//! call, or protocol drift lands — the same gate CI's `ic-lint --deny`
+//! run enforces, minus the shell. Serving-path unwraps, indexing and
+//! dropped `Result`s fail `cargo clippy` instead.
 
 use std::path::Path;
 

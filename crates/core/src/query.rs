@@ -143,35 +143,77 @@ impl fmt::Display for QueryError {
 
 impl std::error::Error for QueryError {}
 
-/// The executable algorithms, as a typed identifier. The first four are
-/// the planner-selectable family of the paper's §6 evaluation; `Backward`
-/// and `Naive` are comparison baselines, `Truss` is the §5.2 generalized
-/// instantiation (a *different answer family*, see
-/// [`AlgorithmId::family`]).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-#[non_exhaustive]
-pub enum AlgorithmId {
+/// Declares [`AlgorithmId`] with [`AlgorithmId::ALL`],
+/// [`AlgorithmId::name`] and its `FromStr` from one list, so no table can
+/// miss a variant. Each entry is `Variant => "name" | "alias"...`; the
+/// first string is the stable name, every string parses.
+macro_rules! algorithm_ids {
+    ($($(#[$doc:meta])* $variant:ident => $name:literal $(| $alias:literal)*,)+) => {
+        /// The executable algorithms, as a typed identifier. The first
+        /// four are the planner-selectable family of the paper's §6
+        /// evaluation; `Backward` and `Naive` are comparison baselines,
+        /// `Truss` is the §5.2 generalized instantiation (a *different
+        /// answer family*, see [`AlgorithmId::family`]).
+        ///
+        /// A new algorithm is added to the one `algorithm_ids!` list in
+        /// this module, which declares the variant, its place in
+        /// [`AlgorithmId::ALL`], its name and its parse; the compiler
+        /// then asks for its executor in [`AlgorithmId::resolve`].
+        #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+        #[non_exhaustive]
+        pub enum AlgorithmId {
+            $($(#[$doc])* $variant,)+
+        }
+
+        impl AlgorithmId {
+            /// All algorithms, in display order. The first four are the
+            /// interchangeable planner-selectable family.
+            pub const ALL: [AlgorithmId; [$(AlgorithmId::$variant),+].len()] =
+                [$(AlgorithmId::$variant),+];
+
+            /// Stable lower-case name used by wire protocols and stats.
+            pub fn name(self) -> &'static str {
+                match self {
+                    $(AlgorithmId::$variant => $name,)+
+                }
+            }
+        }
+
+        impl std::str::FromStr for AlgorithmId {
+            type Err = QueryError;
+
+            fn from_str(s: &str) -> Result<Self, QueryError> {
+                match s.to_ascii_lowercase().as_str() {
+                    $($name $(| $alias)* => Ok(AlgorithmId::$variant),)+
+                    other => Err(QueryError::UnknownAlgorithm(other.to_string())),
+                }
+            }
+        }
+    };
+}
+
+algorithm_ids! {
     /// Algorithm 1 — instance-optimal batch search.
-    LocalSearch,
+    LocalSearch => "local_search" | "local",
     /// Algorithm 4 — LocalSearch-P, the progressive stream.
-    Progressive,
+    Progressive => "progressive",
     /// The Forward baseline (two flat global passes).
-    Forward,
+    Forward => "forward",
     /// The OnlineAll baseline (global sweep enumerating everything).
-    OnlineAll,
+    OnlineAll => "online_all" | "onlineall",
     /// The Backward baseline (top-down with per-insertion re-peel).
-    Backward,
+    Backward => "backward",
     /// Definition-level reference implementation (small graphs only).
-    Naive,
+    Naive => "naive",
     /// LocalSearch-Truss (Algorithm 6): influential γ-truss communities.
-    Truss,
+    Truss => "truss",
     /// LocalSearch-SE (§3.1 Remark): the semi-external progressive local
     /// search — the only local algorithm that can answer against a
     /// file-backed [`GraphStore`].
-    LocalSearchSE,
+    LocalSearchSE => "local_search_se" | "local_se",
     /// OnlineAll-SE: the semi-external global baseline (streams the
     /// whole edge file before reporting anything).
-    OnlineAllSE,
+    OnlineAllSE => "online_all_se" | "onlineall_se",
 }
 
 /// Which answer family an algorithm produces. Two queries with the same
@@ -188,48 +230,10 @@ pub enum AnswerFamily {
 }
 
 impl AlgorithmId {
-    /// All algorithms, in display order. The first four are the
-    /// interchangeable planner-selectable family.
-    pub const ALL: [AlgorithmId; 9] = [
-        AlgorithmId::LocalSearch,
-        AlgorithmId::Progressive,
-        AlgorithmId::Forward,
-        AlgorithmId::OnlineAll,
-        AlgorithmId::Backward,
-        AlgorithmId::Naive,
-        AlgorithmId::Truss,
-        AlgorithmId::LocalSearchSE,
-        AlgorithmId::OnlineAllSE,
-    ];
-
-    /// Stable lower-case name used by wire protocols and stats.
-    pub fn name(self) -> &'static str {
-        match self {
-            AlgorithmId::LocalSearch => "local_search",
-            AlgorithmId::Progressive => "progressive",
-            AlgorithmId::Forward => "forward",
-            AlgorithmId::OnlineAll => "online_all",
-            AlgorithmId::Backward => "backward",
-            AlgorithmId::Naive => "naive",
-            AlgorithmId::Truss => "truss",
-            AlgorithmId::LocalSearchSE => "local_search_se",
-            AlgorithmId::OnlineAllSE => "online_all_se",
-        }
-    }
-
-    /// Index into per-algorithm counter arrays (dense, `0..ALL.len()`).
+    /// Index into per-algorithm counter arrays (dense, `0..ALL.len()`):
+    /// the declaration order, which is also `ALL`'s order.
     pub fn index(self) -> usize {
-        match self {
-            AlgorithmId::LocalSearch => 0,
-            AlgorithmId::Progressive => 1,
-            AlgorithmId::Forward => 2,
-            AlgorithmId::OnlineAll => 3,
-            AlgorithmId::Backward => 4,
-            AlgorithmId::Naive => 5,
-            AlgorithmId::Truss => 6,
-            AlgorithmId::LocalSearchSE => 7,
-            AlgorithmId::OnlineAllSE => 8,
-        }
+        self as usize
     }
 
     /// The answer family this algorithm's results belong to.
@@ -259,25 +263,6 @@ impl AlgorithmId {
 impl fmt::Display for AlgorithmId {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         f.write_str(self.name())
-    }
-}
-
-impl std::str::FromStr for AlgorithmId {
-    type Err = QueryError;
-
-    fn from_str(s: &str) -> Result<Self, QueryError> {
-        match s.to_ascii_lowercase().as_str() {
-            "local_search" | "local" => Ok(AlgorithmId::LocalSearch),
-            "progressive" => Ok(AlgorithmId::Progressive),
-            "forward" => Ok(AlgorithmId::Forward),
-            "online_all" | "onlineall" => Ok(AlgorithmId::OnlineAll),
-            "backward" => Ok(AlgorithmId::Backward),
-            "naive" => Ok(AlgorithmId::Naive),
-            "truss" => Ok(AlgorithmId::Truss),
-            "local_search_se" | "local_se" => Ok(AlgorithmId::LocalSearchSE),
-            "online_all_se" | "onlineall_se" => Ok(AlgorithmId::OnlineAllSE),
-            other => Err(QueryError::UnknownAlgorithm(other.to_string())),
-        }
     }
 }
 

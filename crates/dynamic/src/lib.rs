@@ -54,6 +54,8 @@
 //! assert_eq!(receipt.stats, ic_graph::stats::graph_stats(&receipt.graph));
 //! ```
 
+#![cfg_attr(not(test), deny(clippy::let_underscore_must_use))]
+
 pub mod graph;
 pub mod wal;
 

@@ -281,8 +281,8 @@ impl FileCsr {
     }
 
     /// Cumulative I/O performed through every reader of this handle
-    /// since it was opened. This is what the service `STATS` verb
-    /// reports per store.
+    /// since it was opened; a [`FileCsrEdges`] adds its share when it is
+    /// dropped. This is what the service `STATS` verb reports per store.
     pub fn io_totals(&self) -> IoStats {
         IoStats {
             bytes_read: self.io_bytes.load(Ordering::Relaxed),
@@ -311,7 +311,9 @@ fn resident_bytes_for(n: usize) -> u64 {
 
 /// Sequential reader over the adjacency section of a [`FileCsr`], with
 /// per-record I/O accounting (4 bytes per edge; the lower endpoint rank
-/// is recovered from the resident offsets, not read from disk).
+/// is recovered from the resident offsets, not read from disk). The
+/// reader adds its totals to the store's [`FileCsr::io_totals`] once,
+/// when it is dropped.
 #[derive(Debug)]
 pub struct FileCsrEdges<'a> {
     store: &'a FileCsr,
@@ -338,10 +340,6 @@ impl FileCsrEdges<'_> {
         self.consumed += 1;
         self.stats.bytes_read += ICSR_RECORD_BYTES as u64;
         self.stats.read_ops += 1;
-        self.store
-            .io_bytes
-            .fetch_add(ICSR_RECORD_BYTES as u64, Ordering::Relaxed);
-        self.store.io_ops.fetch_add(1, Ordering::Relaxed);
         Ok(Some((self.lo, Rank::from_le_bytes(rec))))
     }
 
@@ -368,6 +366,17 @@ impl FileCsrEdges<'_> {
     /// Number of unread adjacency records.
     pub fn remaining(&self) -> usize {
         self.store.m() - self.consumed as usize
+    }
+}
+
+impl Drop for FileCsrEdges<'_> {
+    fn drop(&mut self) {
+        self.store
+            .io_bytes
+            .fetch_add(self.stats.bytes_read, Ordering::Relaxed);
+        self.store
+            .io_ops
+            .fetch_add(self.stats.read_ops, Ordering::Relaxed);
     }
 }
 
@@ -798,6 +807,7 @@ mod tests {
         };
         let mut fe = f.edges().unwrap();
         while fe.next_edge().unwrap().is_some() {}
+        drop(fe);
         assert_eq!(file.io_totals().bytes_read, 4 * g.m() as u64);
         assert_eq!(file.io_totals().read_ops, g.m() as u64);
     }

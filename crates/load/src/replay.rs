@@ -15,6 +15,19 @@
 //! log-linear sketch the server uses — one schedule-based and one
 //! response-based per [`LoadClass`], merged across client threads.
 
+#![cfg_attr(
+    not(test),
+    deny(
+        clippy::unwrap_used,
+        clippy::expect_used,
+        clippy::panic,
+        clippy::unreachable,
+        clippy::todo,
+        clippy::unimplemented,
+        clippy::indexing_slicing
+    )
+)]
+
 use std::io::{BufRead, BufReader, BufWriter, Write};
 use std::net::TcpStream;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -81,6 +94,14 @@ impl Recorders {
             protocol_errors: AtomicU64::new(0),
             io_errors: AtomicU64::new(0),
         }
+    }
+
+    #[expect(
+        clippy::indexing_slicing,
+        reason = "LoadClass::index() is below LoadClass::ALL.len(), the array's length"
+    )]
+    fn class(&self, class: LoadClass) -> &ClassRec {
+        &self.classes[class.index()]
     }
 }
 
@@ -190,7 +211,7 @@ fn run_client(
             std::thread::sleep(wait);
         }
         rec.sent.fetch_add(1, Ordering::Relaxed);
-        let class = &rec.classes[ev.class.index()];
+        let class = rec.class(ev.class);
         // one reconnect attempt per event keeps a single dropped
         // connection from voiding the rest of this client's schedule
         if conn.is_none() {
@@ -271,7 +292,7 @@ pub fn replay(trace: &Trace, opts: &ReplayOptions) -> std::io::Result<LoadReport
     let overall = Histogram::new();
     let mut classes = Vec::new();
     for class in LoadClass::ALL {
-        let cr = &rec.classes[class.index()];
+        let cr = rec.class(class);
         let count = cr.count.load(Ordering::Relaxed);
         let errors = cr.errors.load(Ordering::Relaxed);
         if count == 0 && errors == 0 {

@@ -25,6 +25,23 @@
 //! manifest and WALs so committed graphs and generations come back
 //! (uncommitted update tails are discarded, as the protocol promises).
 
+// The serving-path denies of the library root, for this crate root too.
+#![cfg_attr(
+    not(test),
+    deny(
+        clippy::unwrap_used,
+        clippy::expect_used,
+        clippy::panic,
+        clippy::unreachable,
+        clippy::todo,
+        clippy::unimplemented,
+        clippy::indexing_slicing,
+        clippy::let_underscore_must_use,
+        clippy::allow_attributes,
+        clippy::allow_attributes_without_reason
+    )
+)]
+
 use std::net::TcpListener;
 use std::process::ExitCode;
 

@@ -90,7 +90,7 @@ pub fn slice_prefix(value: &Arc<Vec<Community>>, k: usize) -> Arc<Vec<Community>
     if k >= value.len() {
         Arc::clone(value)
     } else {
-        Arc::new(value[..k].to_vec())
+        Arc::new(value.iter().take(k).cloned().collect())
     }
 }
 
@@ -137,6 +137,10 @@ impl ResultCache {
         }
     }
 
+    #[expect(
+        clippy::indexing_slicing,
+        reason = "the remainder is below shards.len(), which new() floors at 1"
+    )]
     fn shard(&self, key: &CacheKey) -> &Mutex<Shard> {
         &self.shards[(key.lane_hash() as usize) % self.shards.len()]
     }

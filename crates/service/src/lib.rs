@@ -77,6 +77,22 @@
 //! svc.close_session(id).unwrap();
 //! ```
 
+#![cfg_attr(
+    not(test),
+    deny(
+        clippy::unwrap_used,
+        clippy::expect_used,
+        clippy::panic,
+        clippy::unreachable,
+        clippy::todo,
+        clippy::unimplemented,
+        clippy::indexing_slicing,
+        clippy::let_underscore_must_use,
+        clippy::allow_attributes,
+        clippy::allow_attributes_without_reason
+    )
+)]
+
 pub mod cache;
 pub mod error;
 pub mod inflight;

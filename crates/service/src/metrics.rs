@@ -23,16 +23,6 @@ use ic_obs::{Histogram, HistogramSnapshot, QueryClass, QueryTrace};
 use crate::planner::Algorithm;
 use crate::sync::lock_or_poison;
 
-/// Number of [`StorageKind`] variants the execute histograms cover.
-const STORAGE_KINDS: usize = 2;
-
-fn storage_index(kind: StorageKind) -> usize {
-    match kind {
-        StorageKind::Memory => 0,
-        StorageKind::File => 1,
-    }
-}
-
 /// One slow query, as retained by the ring and reported by `SLOWLOG`.
 #[derive(Debug, Clone)]
 pub struct SlowQuery {
@@ -58,8 +48,10 @@ pub struct SlowQuery {
 pub struct ServiceMetrics {
     /// End-to-end latency per [`QueryClass`], `QueryClass::index`-indexed.
     latency: [Histogram; QueryClass::ALL.len()],
-    /// Execute-stage latency per storage backend (leader executions only).
-    execute: [Histogram; STORAGE_KINDS],
+    /// Execute-stage latency of leader executions on memory stores.
+    execute_memory: Histogram,
+    /// Execute-stage latency of leader executions on file stores.
+    execute_file: Histogram,
     slowlog: Mutex<VecDeque<SlowQuery>>,
     slowlog_capacity: usize,
     slowlog_threshold_ns: u64,
@@ -76,7 +68,8 @@ impl ServiceMetrics {
     pub fn new(capacity: usize, threshold_ns: u64) -> Self {
         ServiceMetrics {
             latency: std::array::from_fn(|_| Histogram::new()),
-            execute: std::array::from_fn(|_| Histogram::new()),
+            execute_memory: Histogram::new(),
+            execute_file: Histogram::new(),
             slowlog: Mutex::new(VecDeque::with_capacity(capacity.min(1024))),
             slowlog_capacity: capacity,
             slowlog_threshold_ns: threshold_ns,
@@ -98,7 +91,7 @@ impl ServiceMetrics {
         k: usize,
         algorithm: Algorithm,
     ) {
-        self.latency[class.index()].record(trace.total_ns());
+        self.latency(class).record(trace.total_ns());
         if trace.total_ns() < self.slowlog_threshold_ns || self.slowlog_capacity == 0 {
             return;
         }
@@ -122,17 +115,32 @@ impl ServiceMetrics {
     /// Records one leader execution's execute-stage time under its
     /// storage backend.
     pub fn record_execute(&self, storage: StorageKind, ns: u64) {
-        self.execute[storage_index(storage)].record(ns);
+        self.execute(storage).record(ns);
     }
 
     /// Snapshot of one class's end-to-end latency histogram.
     pub fn class_snapshot(&self, class: QueryClass) -> HistogramSnapshot {
-        self.latency[class.index()].snapshot()
+        self.latency(class).snapshot()
     }
 
     /// Snapshot of one backend's execute-stage histogram.
     pub fn execute_snapshot(&self, storage: StorageKind) -> HistogramSnapshot {
-        self.execute[storage_index(storage)].snapshot()
+        self.execute(storage).snapshot()
+    }
+
+    #[expect(
+        clippy::indexing_slicing,
+        reason = "QueryClass::index() is below QueryClass::ALL.len(), the array's length"
+    )]
+    fn latency(&self, class: QueryClass) -> &Histogram {
+        &self.latency[class.index()]
+    }
+
+    fn execute(&self, storage: StorageKind) -> &Histogram {
+        match storage {
+            StorageKind::Memory => &self.execute_memory,
+            StorageKind::File => &self.execute_file,
+        }
     }
 
     /// The `n` most recent slow queries, newest first.

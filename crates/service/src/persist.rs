@@ -415,12 +415,11 @@ impl Persistence {
     // ----- plumbing ----------------------------------------------------
 
     fn write_manifest(&self) -> io::Result<()> {
-        let mut names: Vec<&String> = self.entries.keys().collect();
-        names.sort();
+        let mut entries: Vec<_> = self.entries.iter().collect();
+        entries.sort_by_key(|&(name, _)| name);
         let mut body = String::from(MANIFEST_MAGIC);
         body.push('\n');
-        for name in names {
-            let e = &self.entries[name];
+        for (name, e) in entries {
             let kind = match e.kind {
                 PersistKind::Memory => "mem",
                 PersistKind::File { .. } => "file",

@@ -50,6 +50,12 @@ pub struct WorkerPool {
 
 impl WorkerPool {
     /// Spawns `workers` threads (floored at 1).
+    #[expect(
+        clippy::expect_used,
+        reason = "pool construction runs at service startup, before any connection \
+                  exists to receive a typed error; a failed spawn is resource \
+                  exhaustion that must abort boot"
+    )]
     pub fn new(workers: usize) -> Self {
         let (tx, rx) = channel::<Job>();
         let rx = Arc::new(Mutex::new(rx));
@@ -61,11 +67,6 @@ impl WorkerPool {
                 std::thread::Builder::new()
                     .name(format!("ic-worker-{i}"))
                     .spawn(move || worker_loop(&rx, &gauges))
-                    // Pool construction happens at service startup, before
-                    // any connection exists to receive a typed error; a
-                    // spawn failure is resource exhaustion that must
-                    // abort boot.
-                    // lint:allow(IC-PANIC): startup-only, pre-connection
                     .expect("spawning worker thread")
             })
             .collect();
@@ -152,10 +153,12 @@ impl Drop for WorkerPool {
             if w.thread().id() == current {
                 continue;
             }
-            // A worker that panicked outside catch_unwind has nothing
-            // left to report; Drop cannot propagate, and the panic was
-            // already counted.
-            // lint:allow(IC-RESULT): Drop cannot propagate a join error
+            #[expect(
+                clippy::let_underscore_must_use,
+                reason = "Drop cannot propagate a join error; a worker that panicked \
+                          outside catch_unwind was already counted and has nothing \
+                          left to report"
+            )]
             let _ = w.join();
         }
     }

@@ -599,6 +599,7 @@ fn parse_num<T: std::str::FromStr>(field: &str, s: &str) -> Result<T, ServiceErr
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::planner::Algorithm;
     use crate::service::ServiceConfig;
     use ic_graph::paper::figure3;
 
@@ -689,6 +690,28 @@ mod tests {
             "{reply}"
         );
         assert!(handle_line(&svc, "METRICS extra").starts_with("ERR "));
+    }
+
+    /// Every algorithm has a counter on both surfaces, and one forced
+    /// execution bumps exactly its own. Each runs on its own graph name,
+    /// so no answer is served from another algorithm's cache entry.
+    #[test]
+    fn every_algorithm_is_counted_once_in_stats_and_metrics() {
+        let svc = svc();
+        for algo in Algorithm::ALL {
+            let name = format!("fig3_{algo}");
+            svc.register(&name, figure3());
+            let reply = handle_line(&svc, &format!("QUERY {name} 3 2 {algo}"));
+            assert!(reply.starts_with("OK "), "{algo}: {reply}");
+            assert!(reply.contains("cached=false"), "{algo}: {reply}");
+        }
+        let stats = handle_line(&svc, "STATS");
+        let metrics = handle_line(&svc, "METRICS");
+        for algo in Algorithm::ALL {
+            assert!(stats.contains(&format!(" {algo}=1")), "{algo}: {stats}");
+            let sample = format!("ic_executions_total{{algorithm=\"{algo}\"}} 1\n");
+            assert!(metrics.contains(&sample), "{algo}: {metrics}");
+        }
     }
 
     #[test]

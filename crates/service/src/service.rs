@@ -641,14 +641,20 @@ impl Service {
         let mut trace = QueryTrace::start();
         let accepted = self.pool.submit(move || {
             trace.lap(Stage::Queue);
-            // lint:allow(IC-RESULT): a hung-up caller has no use for the answer
+            #[expect(
+                clippy::let_underscore_must_use,
+                reason = "a hung-up caller has no use for the answer, which stats already counted"
+            )]
             let _ = tx.send(svc.execute_traced(&query, &mut trace));
         });
         if !accepted {
             // The pool only refuses during teardown; surface that as an
             // immediately-failed receiver rather than a hang.
             let (tx2, rx2) = channel();
-            // lint:allow(IC-RESULT): receiver is returned below, send cannot fail
+            #[expect(
+                clippy::let_underscore_must_use,
+                reason = "the receiver is returned below, so this send cannot fail"
+            )]
             let _ = tx2.send(Err(ServiceError::WorkerGone));
             return rx2;
         }
@@ -677,7 +683,10 @@ impl Service {
         let accepted = self.pool.submit(move || {
             trace.lap(Stage::Queue);
             let result = svc.execute_traced(&query, &mut trace);
-            // lint:allow(IC-RESULT): a hung-up caller has no use for the answer
+            #[expect(
+                clippy::let_underscore_must_use,
+                reason = "a hung-up caller has no use for the answer, which stats already counted"
+            )]
             let _ = tx.send(result.map(|resp| (resp, trace)));
         });
         if !accepted {
@@ -703,6 +712,10 @@ impl Service {
     /// mixed or `Auto` groups are planned automatically — either way
     /// every member of a core-family group receives the identical
     /// communities any individual issuance would have produced.
+    #[expect(
+        clippy::indexing_slicing,
+        reason = "every index is a position in `queries`, and `results` has one slot per query"
+    )]
     pub fn query_batch(
         self: &Arc<Self>,
         queries: &[Query],
@@ -780,7 +793,10 @@ impl Service {
             let mode = group.mode.unwrap_or(Mode::Auto);
             let accepted = self.pool.submit(move || {
                 let out = svc.execute_group_inline(&queries_of_group, max_k, mode);
-                // lint:allow(IC-RESULT): batch caller gone; answers are moot
+                #[expect(
+                    clippy::let_underscore_must_use,
+                    reason = "a hung-up batch caller has no use for the answers"
+                )]
                 let _ = tx.send((members, out));
             });
             if accepted {

@@ -69,7 +69,9 @@ impl StatsRecorder {
     pub fn record_miss(&self, algorithm: Algorithm, latency: Duration) {
         self.queries.fetch_add(1, Ordering::Relaxed);
         self.cache_misses.fetch_add(1, Ordering::Relaxed);
-        self.executed[algorithm.index()].fetch_add(1, Ordering::Relaxed);
+        if let Some(executed) = self.executed.get(algorithm.index()) {
+            executed.fetch_add(1, Ordering::Relaxed);
+        }
         self.query_latency_ns
             .fetch_add(latency.as_nanos() as u64, Ordering::Relaxed);
     }
@@ -102,7 +104,7 @@ impl StatsRecorder {
 
     /// Reads every counter into a plain snapshot.
     pub fn snapshot(&self) -> ServiceStats {
-        let executed = std::array::from_fn(|i| self.executed[i].load(Ordering::Relaxed));
+        let executed = self.executed.each_ref().map(|c| c.load(Ordering::Relaxed));
         ServiceStats {
             queries: self.queries.load(Ordering::Relaxed),
             cache_hits: self.cache_hits.load(Ordering::Relaxed),
@@ -179,7 +181,10 @@ impl ServiceStats {
 
     /// Executions of one algorithm.
     pub fn executions(&self, algorithm: Algorithm) -> u64 {
-        self.executed[algorithm.index()]
+        self.executed
+            .get(algorithm.index())
+            .copied()
+            .unwrap_or_default()
     }
 }
 
