@@ -6,7 +6,9 @@
 //! exceed the size of the subgraph they live in, because communities nest
 //! (Lemma 3.6: `IC(u) = gp(u) ∪ ⋃ IC(child)`). The forest stores each
 //! keynode's group once plus child links, so it occupies `O(size(g))`;
-//! [`CommunityForest::members`] materializes a single community on demand.
+//! [`CommunityForest::members`] materializes a single community on demand,
+//! and [`CommunityForest::communities`] materializes all of them, each
+//! from its children's already-built member lists.
 
 use ic_graph::{Rank, WeightedGraph};
 
@@ -52,9 +54,9 @@ impl Community {
 
 /// Compact, nested representation of a set of communities produced by
 /// EnumIC / EnumIC-P. Entry `0` is the highest-influence community
-/// reported; children always have *smaller* indices than their parents
-/// in the non-progressive case and, in general, are always communities
-/// reported earlier (higher influence).
+/// reported; children are always communities reported earlier (higher
+/// influence), so they always have *smaller* indices than their parents
+/// and any prefix of the entries is self-contained.
 #[derive(Debug, Default, Clone)]
 pub struct CommunityForest {
     /// Keynode of each entry.
@@ -87,7 +89,9 @@ impl CommunityForest {
         self.keys.is_empty()
     }
 
-    /// Appends an entry; returns its index. Children must already exist.
+    /// Appends an entry; returns its index. Children must already exist,
+    /// which is what lets [`Self::communities`] build every entry from
+    /// lists it has already built.
     pub(crate) fn push(
         &mut self,
         keynode: Rank,
@@ -127,7 +131,9 @@ impl CommunityForest {
     }
 
     /// Materializes the member set of entry `i` (sorted ranks) by walking
-    /// the child links — Lemma 3.6. Cost is linear in the output.
+    /// the child links — Lemma 3.6. The walk is linear in the output, and
+    /// sorting it costs `O(|C| log |C|)` on top; to materialize many
+    /// entries, [`Self::communities`] is cheaper.
     pub fn members(&self, i: usize) -> Vec<Rank> {
         let mut out = Vec::new();
         let mut stack = vec![i as u32];
@@ -152,9 +158,55 @@ impl CommunityForest {
         }
     }
 
-    /// Materializes every entry, in forest order.
+    /// Materializes every entry, in forest order. Entries are built in
+    /// index order, each from its group and the member lists its
+    /// children already have: the largest child's list is copied in
+    /// sorted runs, and the rest of the entry (its group and any other
+    /// children) is sorted and spliced in between them by binary search.
+    /// With `Lᵢ` the largest child of entry `i` and `sᵢ = |Cᵢ| − |Lᵢ|`,
+    /// entry `i` costs `O(sᵢ log |Cᵢ|)` comparisons plus the sequential
+    /// copy of its `|Cᵢ|` members. On a nested chain, where each entry
+    /// adds a small group to one child, that is linear in the output; a
+    /// subtree walk and sort per entry ([`Self::members`]) would cost
+    /// `O(|Cᵢ| log |Cᵢ|)` with scattered reads.
     pub fn communities(&self) -> Vec<Community> {
-        (0..self.len()).map(|i| self.community(i)).collect()
+        self.communities_prefix(self.len())
+    }
+
+    /// Materializes the first `len` entries (all of them if `len` exceeds
+    /// the forest), in forest order. A prefix needs nothing outside
+    /// itself, because children precede their parents.
+    pub(crate) fn communities_prefix(&self, len: usize) -> Vec<Community> {
+        let len = len.min(self.len());
+        let mut out: Vec<Community> = Vec::with_capacity(len);
+        let mut rest: Vec<Rank> = Vec::new();
+        for i in 0..len {
+            let children = self.children(i);
+            let largest = children
+                .iter()
+                .copied()
+                .max_by_key(|&c| out[c as usize].members.len());
+            rest.clear();
+            rest.extend_from_slice(self.group(i));
+            for &c in children {
+                if Some(c) != largest {
+                    rest.extend_from_slice(&out[c as usize].members);
+                }
+            }
+            rest.sort_unstable();
+            let runs = largest.map_or(&[][..], |c| &out[c as usize].members[..]);
+            let members = splice_sorted(&rest, runs);
+            debug_assert!(
+                members.windows(2).all(|w| w[0] < w[1]),
+                "groups must be disjoint"
+            );
+            out.push(Community {
+                keynode: self.keynode(i),
+                influence: self.influence(i),
+                members,
+            });
+        }
+        out
     }
 
     /// Total stored size (group entries + links). For forests built by
@@ -185,6 +237,22 @@ impl CommunityForest {
         }
         forest
     }
+}
+
+/// Merges two sorted rank lists: each element of `few` is placed by a
+/// binary search in what is left of `runs`, and the runs between those
+/// places are copied whole.
+fn splice_sorted(few: &[Rank], runs: &[Rank]) -> Vec<Rank> {
+    let mut out = Vec::with_capacity(few.len() + runs.len());
+    let mut left = runs;
+    for &x in few {
+        let (before, after) = left.split_at(left.partition_point(|&y| y < x));
+        out.extend_from_slice(before);
+        out.push(x);
+        left = after;
+    }
+    out.extend_from_slice(left);
+    out
 }
 
 /// Definition-level checks used by tests, examples, and debug assertions:
@@ -289,17 +357,60 @@ mod tests {
 
     #[test]
     fn nested_chains_share_storage() {
-        // a chain of 100 nested communities, each adding one vertex: the
-        // forest stays linear even though materialized output is quadratic
+        // a chain of 100 nested communities, each adding its keynode
+        // 100 + i above the inner ones and the vertex 99 - i below them:
+        // the forest stays linear even though materialized output is
+        // quadratic, and every materialization interleaves a group with
+        // its child's members
         let mut f = CommunityForest::new();
         let mut prev: Option<u32> = None;
         for i in 0..100u32 {
             let children: Vec<u32> = prev.into_iter().collect();
-            prev = Some(f.push(i, (100 - i) as f64, &[i], &children));
+            let group = [100 + i, 99 - i];
+            prev = Some(f.push(group[0], (100 - i) as f64, &group, &children));
         }
-        assert_eq!(f.stored_size(), 100 + 99);
-        assert_eq!(f.members(99).len(), 100);
-        assert_eq!(f.members(0).len(), 1);
+        assert_eq!(f.stored_size(), 200 + 99);
+        assert_eq!(f.members(99).len(), 200);
+        assert_eq!(f.members(0).len(), 2);
+        for (i, c) in f.communities().iter().enumerate() {
+            let i = i as Rank;
+            assert_eq!(c.members, (99 - i..=100 + i).collect::<Vec<_>>());
+        }
+        assert_batch_matches_per_entry(&f);
+    }
+
+    /// Batch materialization must equal per-entry materialization, and
+    /// every prefix must equal the first entries of the full list.
+    fn assert_batch_matches_per_entry(f: &CommunityForest) {
+        let all = f.communities();
+        let per_entry: Vec<Community> = (0..f.len()).map(|i| f.community(i)).collect();
+        assert_eq!(all, per_entry);
+        for len in 0..=f.len() + 1 {
+            assert_eq!(f.communities_prefix(len), all[..len.min(f.len())]);
+        }
+    }
+
+    #[test]
+    fn parent_with_several_children_merges_their_members() {
+        // three leaves whose ranks interleave, a parent over all three
+        // with an unsorted group, and a root over the parent and a fourth
+        // leaf
+        let mut f = CommunityForest::new();
+        let a = f.push(9, 9.0, &[9, 1, 5], &[]);
+        let b = f.push(10, 8.0, &[10, 2, 6], &[]);
+        let c = f.push(11, 7.0, &[11, 0, 7, 3], &[]);
+        let p = f.push(14, 6.0, &[14, 12, 4], &[a, b, c]);
+        let d = f.push(15, 5.0, &[15, 8], &[]);
+        let root = f.push(16, 4.0, &[16, 13], &[p, d]);
+        assert_eq!(
+            f.members(p as usize),
+            vec![0, 1, 2, 3, 4, 5, 6, 7, 9, 10, 11, 12, 14]
+        );
+        assert_eq!(
+            f.communities()[root as usize].members,
+            (0..=16).collect::<Vec<Rank>>()
+        );
+        assert_batch_matches_per_entry(&f);
     }
 
     #[test]

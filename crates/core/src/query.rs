@@ -124,12 +124,13 @@ impl fmt::Display for QueryError {
             QueryError::Unsupported { algorithm, feature } => {
                 write!(f, "{} does not support {feature}", algorithm.name())
             }
-            QueryError::UnknownAlgorithm(token) => write!(
-                f,
-                "unknown mode {token:?} (expected auto, local_search, progressive, \
-                 forward, online_all, backward, naive, truss, local_search_se, \
-                 online_all_se)"
-            ),
+            QueryError::UnknownAlgorithm(token) => {
+                write!(f, "unknown mode {token:?} (expected auto")?;
+                for id in AlgorithmId::ALL {
+                    write!(f, ", {}", id.name())?;
+                }
+                f.write_str(")")
+            }
             QueryError::EmptySourceSet => {
                 write!(
                     f,
@@ -1062,6 +1063,19 @@ mod tests {
         assert!(QueryError::UnknownAlgorithm("warp".into())
             .to_string()
             .contains("warp"));
+    }
+
+    #[test]
+    fn unknown_algorithm_error_lists_every_mode() {
+        let text = QueryError::UnknownAlgorithm("warp".into()).to_string();
+        let listed = text
+            .strip_prefix("unknown mode \"warp\" (expected ")
+            .and_then(|rest| rest.strip_suffix(')'))
+            .unwrap_or_else(|| panic!("{text}"));
+        let expected: Vec<&str> = std::iter::once("auto")
+            .chain(AlgorithmId::ALL.map(AlgorithmId::name))
+            .collect();
+        assert_eq!(listed.split(", ").collect::<Vec<_>>(), expected);
     }
 
     #[test]

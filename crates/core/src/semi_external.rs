@@ -98,7 +98,6 @@ pub fn local_search_se_top_k<S: SemiExternalSource>(
     let mut engine = PeelEngine::new();
     let mut out = PeelOutput::default();
     let mut builder = ForestBuilder::new();
-    let mut reported: Vec<u32> = Vec::new();
     let mut prev_len = 0usize;
 
     // round 1 prefix: γ+1 vertices (one community minimum); the file is
@@ -120,11 +119,10 @@ pub fn local_search_se_top_k<S: SemiExternalSource>(
             track_nc: false,
         };
         engine.peel(&resident, cfg, &mut out);
-        let entries = builder.add_peel(&resident, &out, usize::MAX, |r| dg.weight(r));
-        reported.extend(entries);
+        builder.add_peel(&resident, &out, usize::MAX, |r| dg.weight(r));
         prev_len = t;
 
-        if reported.len() >= k || t == n {
+        if builder.forest().len() >= k || t == n {
             break;
         }
         // grow vertex-by-vertex until the resident size at least doubles
@@ -146,13 +144,9 @@ pub fn local_search_se_top_k<S: SemiExternalSource>(
         peak_resident_edges: resident.edges,
         visited_vertices: resident.len,
     };
-    let forest = builder.forest();
-    let mut communities: Vec<Community> = reported
-        .iter()
-        .take(k)
-        .map(|&e| forest.community(e as usize))
-        .collect();
-    communities.truncate(k);
+    // entries are numbered in reporting order (decreasing influence), so
+    // the top k are the forest's first k entries
+    let communities = builder.forest().communities_prefix(k);
     Ok((communities, stats))
 }
 

@@ -8,7 +8,8 @@
 //! lock and a few `String` clones are noise.
 //!
 //! Query latency is recorded end-to-end per [`QueryClass`]
-//! (cold / cached / prefix-served / coalesced-follower / batch);
+//! (cold / cached / prefix-served / coalesced-follower / batch; a query
+//! the planner proves empty is cold, with no execute time);
 //! execution time alone is additionally recorded per storage backend
 //! (memory / file), which is the histogram that separates "the algorithm
 //! got slower" from "the cache stopped hitting".
@@ -35,7 +36,8 @@ pub struct SlowQuery {
     pub gamma: u32,
     /// Query k.
     pub k: usize,
-    /// The algorithm the planner chose (executed only on cold paths).
+    /// The algorithm the planner chose (executed only on cold paths
+    /// whose plan is not empty).
     pub algorithm: Algorithm,
     /// How the query was answered.
     pub class: QueryClass,

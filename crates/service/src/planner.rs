@@ -28,6 +28,16 @@
 //! surfaces it to clients. An explicit [`Mode`] override bypasses the
 //! model (the escape hatch the consistency proptests use to exercise each
 //! branch directly).
+//!
+//! One plan needs no search at all. No γ-community exists above the
+//! degeneracy `γmax` (Table 1 of the paper), so an `Auto` query with
+//! γ > γmax on a memory-resident graph is planned **empty**
+//! ([`Explain::empty`]): the service answers it with no communities
+//! without probing the cache or running an executor. Memory statistics
+//! are exact — registration peels the graph, a structural `COMMIT` peels
+//! the new snapshot, and a reweight-only commit cannot change the
+//! degeneracy. A file-backed store is never planned empty, because its
+//! `γmax` comes from an unchecked file header (see [`plan_stored`]).
 
 use ic_core::query::Selection;
 use ic_core::{AnswerFamily, TopKQuery};
@@ -120,8 +130,13 @@ impl Query {
 #[derive(Debug, Clone, PartialEq)]
 #[non_exhaustive]
 pub struct Explain {
-    /// The chosen algorithm.
+    /// The chosen algorithm: the executor the query runs, or for an
+    /// [`Self::empty`] plan the one a forced run would use.
     pub algorithm: Algorithm,
+    /// Whether the plan alone proves the answer empty (γ above a
+    /// memory-resident graph's degeneracy): the service then answers
+    /// with no communities and runs no executor.
+    pub empty: bool,
     /// The cost-model rule (or override) that selected it.
     pub reason: &'static str,
     /// Whether the choice came from an explicit [`Mode::Forced`].
@@ -145,8 +160,9 @@ pub struct Explain {
 ///
 /// The `Auto` branches, in order:
 ///
-/// 1. `γ > γmax` — no γ-core exists; **Forward**'s single global counting
-///    pass is the cheapest proof of emptiness.
+/// 1. `γ > γmax` — no γ-core exists, so the answer is empty and the plan
+///    is marked [`Explain::empty`]: nothing executes. It names
+///    **Forward**, the executor a forced run would use.
 /// 2. `k + γ ≥ n` — the heuristic initial prefix already spans the whole
 ///    graph; **OnlineAll**'s single sweep enumerates everything without
 ///    LocalSearch's growth rounds.
@@ -158,8 +174,8 @@ pub struct Explain {
 /// 5. otherwise — **LocalSearch**, the instance-optimal default.
 ///
 /// A query always runs on a committed snapshot whose `γmax` was exact
-/// when it was registered, so pending dynamic updates never enter the
-/// plan.
+/// when it was registered or committed, so pending dynamic updates never
+/// enter the plan and the empty plan is never wrong.
 pub fn plan(stats: &GraphStats, gamma: u32, k: usize, mode: Mode) -> Explain {
     plan_stored(stats, gamma, k, mode, StorageKind::Memory)
 }
@@ -191,14 +207,20 @@ fn estimate_file_bytes(stats: &GraphStats, algorithm: Algorithm, reach: usize) -
 /// memory-resident adjacency — and estimate the bytes the choice will
 /// read:
 ///
-/// * `k + γ ≥ n` (or `γ > γmax` — the emptiness check must still stream
-///   everything once) — **OnlineAll-SE**: one sequential pass over the
-///   whole adjacency section.
+/// * `k + γ ≥ n` (or `γ > γmax`) — **OnlineAll-SE**: one sequential pass
+///   over the whole adjacency section.
 /// * otherwise — **LocalSearch-SE**: reads only the grown prefix, I/O
 ///   proportional to `size(G≥τ*)`.
 ///
+/// File-backed stores are never planned empty: their `γmax` comes from
+/// the `.icsr` header, which [`ic_graph::FileCsr::open`] trusts without
+/// checking, so an infeasible γ is disproved by streaming the file once.
+/// With an empty plan, a wrong header would return a wrong answer
+/// instead of a slow right one.
+///
 /// A forced mode is honored as-is (the executor itself rejects
-/// memory-only algorithms on file stores with a typed error).
+/// memory-only algorithms on file stores with a typed error), and is
+/// never planned empty: forcing an algorithm asks for its run.
 pub fn plan_stored(
     stats: &GraphStats,
     gamma: u32,
@@ -208,6 +230,7 @@ pub fn plan_stored(
 ) -> Explain {
     let base = |algorithm: Algorithm, reason: &'static str, forced: bool| Explain {
         algorithm,
+        empty: false,
         reason,
         forced,
         n: stats.n,
@@ -250,12 +273,15 @@ pub fn plan_stored(
     let n = stats.n;
     let reach = k.saturating_add(gamma as usize);
     if gamma > stats.gamma_max {
-        base(
-            Algorithm::Forward,
-            "gamma exceeds the graph's degeneracy: no gamma-core exists, so one \
-             global counting pass proves the answer empty",
-            false,
-        )
+        Explain {
+            empty: true,
+            ..base(
+                Algorithm::Forward,
+                "gamma exceeds the graph's degeneracy: no gamma-core exists, so \
+                 the answer is empty without a search",
+                false,
+            )
+        }
     } else if reach >= n {
         base(
             Algorithm::OnlineAll,
@@ -320,6 +346,26 @@ mod tests {
         let e = plan(&stats(1000, 5000, 8), 9, 5, Mode::Auto);
         assert_eq!(e.algorithm, Algorithm::Forward);
         assert!(e.reason.contains("degeneracy"));
+        assert!(e.empty, "gamma above gamma_max is planned empty");
+        assert!(!e.forced);
+        // the bound is strict: gamma_max itself may have communities
+        assert!(!plan(&stats(1000, 5000, 8), 8, 5, Mode::Auto).empty);
+    }
+
+    #[test]
+    fn only_auto_memory_plans_are_empty() {
+        let s = stats(1000, 5000, 8);
+        for algo in Algorithm::ALL {
+            let e = plan(&s, 9, 5, Mode::Forced(algo));
+            assert!(!e.empty, "forced {algo} still executes");
+        }
+        let file = plan_stored(&s, 9, 5, Mode::Auto, StorageKind::File);
+        assert!(!file.empty, "a file header's gamma_max is not trusted");
+        for gamma in 1..=8u32 {
+            for k in [1usize, 5, 50, 600, 2000] {
+                assert!(!plan(&s, gamma, k, Mode::Auto).empty, "gamma={gamma} k={k}");
+            }
+        }
     }
 
     #[test]

@@ -32,7 +32,10 @@
 //!                                        ';'-separated, grouped by
 //!                                        (graph, γ, family) and answered
 //!                                        with one search per group
-//! EXPLAIN <graph> <gamma> <k> [mode]     plan only, with the reason
+//! EXPLAIN <graph> <gamma> <k> [mode]     plan only, with the reason;
+//!                                        empty=true when γ exceeds the
+//!                                        graph's degeneracy and the plan
+//!                                        answers without a search
 //! UPDATE <graph> ADD <u> <v> [w]         buffer an edge insert (w creates
 //!                                        missing endpoints with that weight)
 //! UPDATE <graph> DEL <u> <v>             buffer an edge delete
@@ -218,8 +221,16 @@ fn dispatch(svc: &Arc<Service>, line: &str) -> Result<String, ServiceError> {
             let e = svc.explain(&query)?;
             Ok(format!(
                 "OK algo={} forced={} n={} m={} gamma_max={} storage={} \
-                 est_bytes={} reason={}",
-                e.algorithm, e.forced, e.n, e.m, e.gamma_max, e.storage, e.est_bytes, e.reason
+                 est_bytes={} empty={} reason={}",
+                e.algorithm,
+                e.forced,
+                e.n,
+                e.m,
+                e.gamma_max,
+                e.storage,
+                e.est_bytes,
+                e.empty,
+                e.reason
             ))
         }
         "UPDATE" => {
@@ -285,11 +296,12 @@ fn dispatch(svc: &Arc<Service>, line: &str) -> Result<String, ServiceError> {
         "STATS" => {
             let s = svc.stats();
             let mut out = format!(
-                "OK queries={} hits={} misses={} coalesced={} prefix_served={} \
-                 batches={} worker_panics={} hit_rate={:.4}",
+                "OK queries={} hits={} misses={} empty_plans={} coalesced={} \
+                 prefix_served={} batches={} worker_panics={} hit_rate={:.4}",
                 s.queries,
                 s.cache_hits,
                 s.cache_misses,
+                s.empty_plans,
                 s.coalesced,
                 s.prefix_served,
                 s.batches,
@@ -432,7 +444,7 @@ fn handle_explain_analyze(svc: &Arc<Service>, args: &[&str]) -> Result<String, S
     let e = &resp.explain;
     Ok(format!(
         "OK algo={} forced={} cached={} coalesced={} count={} n={} m={} \
-         gamma_max={} storage={} est_bytes={}{} io_bytes={} io_ops={} reason={}",
+         gamma_max={} storage={} est_bytes={}{} io_bytes={} io_ops={} empty={} reason={}",
         e.algorithm,
         e.forced,
         resp.cached,
@@ -446,6 +458,7 @@ fn handle_explain_analyze(svc: &Arc<Service>, args: &[&str]) -> Result<String, S
         stage_fields(&trace),
         trace.io_bytes,
         trace.io_ops,
+        e.empty,
         e.reason,
     ))
 }

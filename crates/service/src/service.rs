@@ -9,7 +9,8 @@
 //!
 //! A batch query flows: validate → look up graph →
 //! [`plan_stored`] (fed the registered statistics and the storage
-//! backend) → probe the cache keyed by
+//! backend; a plan proved empty by the degeneracy is answered right
+//! here) → probe the cache keyed by
 //! `(graph, generation, γ, k, family)` — prefix-aware within the core
 //! family, so a larger-k entry of the same lane serves smaller k by
 //! slicing — → join the key's *single flight*: concurrent
@@ -102,7 +103,7 @@ pub struct QueryResponse {
     pub latency: Duration,
     /// Access statistics of the executed algorithm (every algorithm
     /// reports them uniformly); `None` for cache hits, which executed
-    /// nothing.
+    /// nothing, and all zeros for an empty plan, which read nothing.
     pub search_stats: Option<SearchStats>,
 }
 
@@ -482,11 +483,11 @@ impl Service {
     }
 
     /// Answers a query on the calling thread: validate through the core
-    /// builder, plan, probe the cache (prefix-aware within the core
-    /// family), join or lead the key's single flight, and execute the
-    /// planned algorithm through the [`ic_core::query::Algorithm`] trait
-    /// only as the flight's leader. This is the pipeline the pool
-    /// workers run.
+    /// builder, plan (an [`Explain::empty`] plan returns the empty answer
+    /// here), probe the cache (prefix-aware within the core family), join
+    /// or lead the key's single flight, and execute the planned algorithm
+    /// through the [`ic_core::query::Algorithm`] trait only as the
+    /// flight's leader. This is the pipeline the pool workers run.
     pub fn execute_inline(&self, query: &Query) -> Result<QueryResponse, ServiceError> {
         let mut trace = QueryTrace::start();
         self.execute_traced(query, &mut trace)
@@ -513,18 +514,6 @@ impl Service {
             query.mode,
             entry.store.kind(),
         );
-        // The key carries the generation of the instance this execution
-        // read (so a result computed against a since-replaced graph is
-        // inserted under the stale generation and never served again) and
-        // the answer family (so a forced truss answer can never be served
-        // to a core query, or vice versa).
-        let key = CacheKey {
-            graph: query.graph.clone(),
-            generation: entry.generation,
-            gamma: query.gamma,
-            k: query.k,
-            family: explain.algorithm.family(),
-        };
         trace.lap(Stage::Plan);
         let start = Instant::now();
         let response = |communities, cached, coalesced, search_stats| QueryResponse {
@@ -549,6 +538,32 @@ impl Service {
                 query.k,
                 explain.algorithm,
             );
+        };
+        if explain.empty {
+            // γ above the degeneracy: the plan is the proof that no
+            // γ-community exists, so nothing is probed, cached, joined or
+            // executed. The default stats report that nothing was read.
+            let resp = response(
+                Arc::new(Vec::new()),
+                false,
+                false,
+                Some(SearchStats::default()),
+            );
+            self.stats.record_empty_plan(resp.latency);
+            finish(trace, QueryClass::Cold);
+            return Ok(resp);
+        }
+        // The key carries the generation of the instance this execution
+        // read (so a result computed against a since-replaced graph is
+        // inserted under the stale generation and never served again) and
+        // the answer family (so a forced truss answer can never be served
+        // to a core query, or vice versa).
+        let key = CacheKey {
+            graph: query.graph.clone(),
+            generation: entry.generation,
+            gamma: query.gamma,
+            k: query.k,
+            family: explain.algorithm.family(),
         };
         loop {
             if let Some(hit) = self.cache.get_serving(&key) {
@@ -1033,6 +1048,12 @@ impl Service {
         p.sample("ic_cache_hits_total", &[], stats.cache_hits);
         p.header("ic_cache_misses_total", "Result-cache misses.", "counter");
         p.sample("ic_cache_misses_total", &[], stats.cache_misses);
+        p.header(
+            "ic_empty_plans_total",
+            "Queries planned empty (gamma above the degeneracy) without a search.",
+            "counter",
+        );
+        p.sample("ic_empty_plans_total", &[], stats.empty_plans);
         p.header(
             "ic_prefix_served_total",
             "Queries served by slicing a larger-k cached answer.",
@@ -1547,6 +1568,137 @@ mod tests {
         let e = svc.explain(&Query::new("fig3", 3, 4)).unwrap();
         assert!(!e.reason.is_empty());
         assert_eq!(svc.stats().queries, 0);
+    }
+
+    /// Every pair `(u, v)`, `u < v`, of `vertices`.
+    fn clique_pairs(vertices: &[u64]) -> Vec<(u64, u64)> {
+        let mut pairs = Vec::new();
+        for (i, &u) in vertices.iter().enumerate() {
+            for &v in &vertices[i + 1..] {
+                pairs.push((u, v));
+            }
+        }
+        pairs
+    }
+
+    fn forced_forward(svc: &Arc<Service>, graph: &str, gamma: u32, k: usize) -> QueryResponse {
+        // a cleared cache makes the forced run execute, not hit
+        svc.clear_cache();
+        svc.query(Query::new(graph, gamma, k).with_mode(Mode::Forced(Algorithm::Forward)))
+            .unwrap()
+    }
+
+    #[test]
+    fn empty_plan_is_exact_across_backends_and_a_rising_gamma_max() {
+        use crate::protocol::handle_line;
+        use ic_graph::generators::{assemble, gnm, WeightKind};
+
+        let svc = service_with_fig3();
+        let n = 300;
+        svc.register("g", assemble(n, &gnm(n, 3 * n, 7), WeightKind::Uniform(7)));
+        let gmax = svc.graph("g").unwrap().stats.gamma_max;
+        let above = gmax + 1;
+
+        // Auto above gamma_max: answered by the plan, nothing executed
+        let resp = svc.query(Query::new("g", above, 5)).unwrap();
+        assert!(resp.communities.is_empty());
+        assert!(resp.explain.empty && !resp.explain.forced);
+        assert_eq!(resp.explain.algorithm, Algorithm::Forward);
+        assert!(!resp.cached && !resp.coalesced);
+        assert_eq!(resp.search_stats, Some(SearchStats::default()));
+        assert_eq!(svc.cache_len(), 0, "an empty plan is not cached");
+        let explain = handle_line(&svc, &format!("EXPLAIN g {above} 5"));
+        assert!(explain.contains(" empty=true reason="), "{explain}");
+        assert!(explain.contains("degeneracy"), "{explain}");
+        let stats = handle_line(&svc, "STATS");
+        for field in ["queries=1 ", "misses=0 ", "empty_plans=1 ", "forward=0 "] {
+            assert!(stats.contains(field), "{field}: {stats}");
+        }
+        // the empty answer is the same at any k
+        assert!(handle_line(&svc, &format!("QUERY g {above} 1000")).contains("count=0"));
+
+        // a forced mode still executes, and agrees
+        let forced = forced_forward(&svc, "g", above, 5);
+        assert!(!forced.explain.empty && forced.communities.is_empty());
+        let stats = handle_line(&svc, "STATS");
+        assert!(stats.contains(" forward=1 "), "{stats}");
+        assert!(stats.contains(" empty_plans=2 "), "{stats}");
+
+        // a file-backed store trusts no header: it still streams the file
+        let dir = ic_graph::scratch::ScratchDir::new("ic-service-empty-plan");
+        let path = dir.file("g.icsr");
+        let path = path.to_str().unwrap();
+        svc.save_store("g", path).unwrap();
+        svc.register_file("gx", path, None).unwrap();
+        let explain = handle_line(&svc, &format!("EXPLAIN gx {above} 5"));
+        assert!(explain.contains("algo=online_all_se"), "{explain}");
+        assert!(explain.contains(" empty=false "), "{explain}");
+        let file = svc.query(Query::new("gx", above, 5)).unwrap();
+        assert!(file.communities.is_empty() && !file.explain.empty);
+        assert_eq!(svc.stats().executions(Algorithm::OnlineAllSE), 1);
+
+        // a clique on gamma_max + 3 new vertices raises gamma_max by two
+        let clique: Vec<u64> = (0..u64::from(gmax) + 3).map(|i| 10_000 + i).collect();
+        for (u, v) in clique_pairs(&clique) {
+            let reply = handle_line(&svc, &format!("UPDATE g ADD {u} {v} 0.5"));
+            assert!(reply.starts_with("OK "), "{reply}");
+        }
+        let commit = handle_line(&svc, "COMMIT g");
+        assert!(
+            commit.contains(&format!(" gamma_max={}", gmax + 2)),
+            "{commit}"
+        );
+        for gamma in gmax + 1..=gmax + 2 {
+            let auto = svc.query(Query::new("g", gamma, 5)).unwrap();
+            assert!(!auto.explain.empty, "gamma={gamma}");
+            assert!(!auto.communities.is_empty(), "gamma={gamma}");
+            let forward = forced_forward(&svc, "g", gamma, 5);
+            assert_eq!(auto.communities, forward.communities, "gamma={gamma}");
+        }
+        assert!(svc.explain(&Query::new("g", gmax + 3, 5)).unwrap().empty);
+    }
+
+    #[test]
+    fn empty_plan_follows_a_falling_gamma_max() {
+        use crate::protocol::handle_line;
+        use ic_graph::generators::{assemble, gnm, WeightKind};
+
+        // a sparse G(n, m) whose degeneracy comes from one planted clique
+        let n = 200;
+        let clique: Vec<u64> = (0..12).collect();
+        let mut edges = gnm(n, n, 11);
+        edges.extend(
+            clique_pairs(&clique)
+                .iter()
+                .map(|&(u, v)| (u as u32, v as u32)),
+        );
+        let svc = service_with_fig3();
+        svc.register("g", assemble(n, &edges, WeightKind::Uniform(11)));
+        let old = svc.graph("g").unwrap().stats.gamma_max;
+        assert_eq!(old, 11, "the planted clique sets gamma_max");
+        let top = svc.query(Query::new("g", old, 5)).unwrap();
+        assert!(!top.explain.empty && !top.communities.is_empty());
+
+        // delete the clique's edges: gamma_max falls
+        for (u, v) in clique_pairs(&clique) {
+            let reply = handle_line(&svc, &format!("UPDATE g DEL {u} {v}"));
+            assert!(reply.starts_with("OK "), "{reply}");
+        }
+        assert!(handle_line(&svc, "COMMIT g").starts_with("OK "));
+        let new = svc.graph("g").unwrap().stats.gamma_max;
+        assert!(new < old, "gamma_max {old} -> {new}");
+        for gamma in new + 1..=old {
+            let auto = svc.query(Query::new("g", gamma, 5)).unwrap();
+            assert!(auto.explain.empty, "gamma={gamma}");
+            let forward = forced_forward(&svc, "g", gamma, 5);
+            assert!(!forward.explain.empty);
+            assert_eq!(auto.communities, forward.communities, "gamma={gamma}");
+        }
+        let stats = svc.stats();
+        assert_eq!(stats.empty_plans, u64::from(old - new));
+        assert_eq!(stats.executions(Algorithm::Forward), u64::from(old - new));
+        // at the new gamma_max itself the search still runs
+        assert!(!svc.explain(&Query::new("g", new, 5)).unwrap().empty);
     }
 
     #[test]

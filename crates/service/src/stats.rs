@@ -21,6 +21,7 @@ pub struct StatsRecorder {
     queries: AtomicU64,
     cache_hits: AtomicU64,
     cache_misses: AtomicU64,
+    empty_plans: AtomicU64,
     coalesced: AtomicU64,
     prefix_served: AtomicU64,
     batches: AtomicU64,
@@ -76,6 +77,15 @@ impl StatsRecorder {
             .fetch_add(latency.as_nanos() as u64, Ordering::Relaxed);
     }
 
+    /// A query the planner proved empty (γ above the degeneracy): it
+    /// neither probed the cache nor executed anything.
+    pub(crate) fn record_empty_plan(&self, latency: Duration) {
+        self.queries.fetch_add(1, Ordering::Relaxed);
+        self.empty_plans.fetch_add(1, Ordering::Relaxed);
+        self.query_latency_ns
+            .fetch_add(latency.as_nanos() as u64, Ordering::Relaxed);
+    }
+
     pub fn record_session_opened(&self) {
         self.sessions_opened.fetch_add(1, Ordering::Relaxed);
     }
@@ -109,6 +119,7 @@ impl StatsRecorder {
             queries: self.queries.load(Ordering::Relaxed),
             cache_hits: self.cache_hits.load(Ordering::Relaxed),
             cache_misses: self.cache_misses.load(Ordering::Relaxed),
+            empty_plans: self.empty_plans.load(Ordering::Relaxed),
             coalesced: self.coalesced.load(Ordering::Relaxed),
             prefix_served: self.prefix_served.load(Ordering::Relaxed),
             batches: self.batches.load(Ordering::Relaxed),
@@ -127,12 +138,16 @@ impl StatsRecorder {
 /// A point-in-time snapshot of the service counters.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct ServiceStats {
-    /// Batch queries answered (hits + misses + coalesced).
+    /// Batch queries answered (hits + misses + empty plans + coalesced).
     pub queries: u64,
     /// Queries answered from the result cache (exact or prefix-served).
     pub cache_hits: u64,
     /// Queries that executed an algorithm.
     pub cache_misses: u64,
+    /// Queries the planner answered empty without a search (γ above a
+    /// memory-resident graph's degeneracy); neither hits nor misses, and
+    /// not counted in [`Self::executed`].
+    pub empty_plans: u64,
     /// Queries that joined an identical query already in flight instead
     /// of executing — the single-flight savings.
     pub coalesced: u64,
@@ -143,9 +158,8 @@ pub struct ServiceStats {
     pub batches: u64,
     /// Worker-pool jobs that panicked (caught; the worker survived).
     pub worker_panics: u64,
-    /// Executions per algorithm, in [`Algorithm::ALL`] order
-    /// (local_search, progressive, forward, online_all, backward, naive,
-    /// truss); see [`Self::executions`].
+    /// Executions per algorithm, indexed by [`Algorithm::index`] (the
+    /// order of [`Algorithm::ALL`]); see [`Self::executions`].
     pub executed: [u64; ALGORITHM_COUNT],
     /// Total wall-clock spent answering batch queries, nanoseconds.
     pub query_latency_ns: u64,
@@ -230,6 +244,20 @@ mod tests {
         assert_eq!(s.cache_misses, 1);
         assert_eq!(s.batches, 1);
         assert_eq!(s.mean_latency(), Duration::from_nanos(14_000 / 4));
+    }
+
+    #[test]
+    fn empty_plans_are_queries_but_not_misses() {
+        let r = StatsRecorder::new();
+        r.record_empty_plan(Duration::from_micros(4));
+        r.record_miss(Algorithm::Forward, Duration::from_micros(8));
+        let s = r.snapshot();
+        assert_eq!(s.queries, 2);
+        assert_eq!(s.empty_plans, 1);
+        assert_eq!(s.cache_misses, 1);
+        assert_eq!(s.cache_hits, 0);
+        assert_eq!(s.executions(Algorithm::Forward), 1, "only the miss ran");
+        assert_eq!(s.mean_latency(), Duration::from_micros(6));
     }
 
     #[test]

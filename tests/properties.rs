@@ -144,6 +144,56 @@ proptest! {
         }
     }
 
+    /// Batch materialization equals per-entry materialization, on
+    /// one-shot EnumIC forests and on multi-round EnumIC-P forests; and
+    /// LocalSearch-SE, which materializes a prefix of its EnumIC-P forest,
+    /// returns the first k entries of the full list.
+    #[test]
+    fn batch_materialization_equals_per_entry(
+        (n, d, seed) in graph_params(),
+        gamma in 1u32..5,
+        k in 1usize..12,
+    ) {
+        use influential_communities::search::enumerate::{enum_ic, ForestBuilder};
+        use influential_communities::search::peel::{PeelConfig, PeelEngine, PeelOutput};
+        use influential_communities::search::semi_external::local_search_se_top_k;
+        use influential_communities::search::{Community, CommunityForest};
+
+        fn per_entry(forest: &CommunityForest) -> Vec<Community> {
+            (0..forest.len()).map(|i| forest.community(i)).collect()
+        }
+
+        let g = make_graph(n, d, seed);
+        let mut engine = PeelEngine::new();
+        let mut out = PeelOutput::default();
+        let whole = Prefix::with_len(&g, g.n());
+        engine.peel(&whole, PeelConfig::new(gamma), &mut out);
+        let one_shot = enum_ic(&whole, &out, usize::MAX, |r| g.weight(r));
+        let all = one_shot.communities();
+        prop_assert_eq!(&all, &per_entry(&one_shot));
+
+        // EnumIC-P: early-stopped peels of prefixes growing by half
+        let mut builder = ForestBuilder::new();
+        let (mut prev, mut t) = (0, (gamma as usize + 1).min(g.n()));
+        loop {
+            let prefix = Prefix::with_len(&g, t);
+            let cfg = PeelConfig { gamma, stop_before: prev, track_nc: false };
+            engine.peel(&prefix, cfg, &mut out);
+            builder.add_peel(&prefix, &out, usize::MAX, |r| g.weight(r));
+            if t == g.n() {
+                break;
+            }
+            (prev, t) = (t, (t + t / 2 + 1).min(g.n()));
+        }
+        let rounds = builder.forest();
+        let rounds_all = rounds.communities();
+        prop_assert_eq!(&rounds_all, &per_entry(rounds));
+        prop_assert_eq!(&rounds_all, &all, "EnumIC-P finds the same communities");
+
+        let (top, _) = local_search_se_top_k(&g, gamma, k).unwrap();
+        prop_assert_eq!(&top[..], &all[..k.min(all.len())]);
+    }
+
     /// Weight perturbation sanity: scaling all weights by a positive
     /// constant never changes the community structure (only influences).
     #[test]
