@@ -32,6 +32,11 @@ pub struct SeStats {
     pub peak_resident_edges: usize,
     /// Vertices of the largest prefix materialized.
     pub visited_vertices: usize,
+    /// Peels run (counting rounds).
+    pub rounds: usize,
+    /// Sum of the resident sizes (vertices + edges) of every peel — the
+    /// counting work, as [`SearchStats::total_counted_size`].
+    pub counted_size: u64,
 }
 
 /// In-memory resident subgraph assembled from disk records; the
@@ -99,6 +104,7 @@ pub fn local_search_se_top_k<S: SemiExternalSource>(
     let mut out = PeelOutput::default();
     let mut builder = ForestBuilder::new();
     let mut prev_len = 0usize;
+    let (mut rounds, mut counted_size) = (0usize, 0u64);
 
     // round 1 prefix: γ+1 vertices (one community minimum); the file is
     // sorted by the lower endpoint's rank, so extending the prefix by one
@@ -119,6 +125,8 @@ pub fn local_search_se_top_k<S: SemiExternalSource>(
             track_nc: false,
         };
         engine.peel(&resident, cfg, &mut out);
+        rounds += 1;
+        counted_size += resident.size();
         builder.add_peel(&resident, &out, usize::MAX, |r| dg.weight(r));
         prev_len = t;
 
@@ -143,6 +151,8 @@ pub fn local_search_se_top_k<S: SemiExternalSource>(
         io: cursor.io_stats(),
         peak_resident_edges: resident.edges,
         visited_vertices: resident.len,
+        rounds,
+        counted_size,
     };
     // entries are numbered in reporting order (decreasing influence), so
     // the top k are the forest's first k entries
@@ -172,6 +182,8 @@ pub fn online_all_se_top_k<S: SemiExternalSource>(
         io: cursor.io_stats(),
         peak_resident_edges: resident.edges,
         visited_vertices: n,
+        rounds: 1,
+        counted_size: resident.size(),
     };
     let communities = run
         .kept
@@ -188,14 +200,15 @@ pub fn online_all_se_top_k<S: SemiExternalSource>(
 
 /// Re-expresses a semi-external run in the uniform [`SearchResult`]
 /// shape: the visited prefix becomes the accessed-prefix stats, the
-/// [`IoStats`] land in [`SearchStats::bytes_read`]/[`SearchStats::read_ops`]
-/// — the counters the service `STATS` verb surfaces per query.
+/// peels its rounds and counting work, and the [`IoStats`] land in
+/// [`SearchStats::bytes_read`]/[`SearchStats::read_ops`] — the counters
+/// the service `STATS` verb surfaces per query.
 pub(crate) fn se_search_result(communities: Vec<Community>, se: SeStats) -> SearchResult {
     let stats = SearchStats {
-        rounds: 1,
+        rounds: se.rounds,
         final_prefix_len: se.visited_vertices,
         final_prefix_size: se.visited_vertices as u64 + se.peak_resident_edges as u64,
-        total_counted_size: se.visited_vertices as u64 + se.peak_resident_edges as u64,
+        total_counted_size: se.counted_size,
         bytes_read: se.io.bytes_read,
         read_ops: se.io.read_ops,
         ..SearchStats::default()
@@ -206,7 +219,8 @@ pub(crate) fn se_search_result(communities: Vec<Community>, se: SeStats) -> Sear
 #[cfg(test)]
 mod tests {
     use super::*;
-    use ic_graph::generators::{assemble, barabasi_albert, WeightKind};
+    use crate::progressive::ProgressiveSearch;
+    use ic_graph::generators::{assemble, barabasi_albert, gnm, WeightKind};
     use ic_graph::paper::figure3;
     use ic_graph::scratch::ScratchDir;
     use ic_graph::{save_icsr, FileCsr, WeightedGraph};
@@ -268,6 +282,52 @@ mod tests {
         let (_, st) = local_search_se_top_k(&dg, 3, 1).unwrap();
         assert_eq!(st.io.edges_read() as usize, st.peak_resident_edges);
         assert!(st.visited_vertices <= g.n());
+    }
+
+    /// LocalSearch-SE runs LocalSearch-P's rounds (δ = 2) from an edge
+    /// stream, so after k items both report the same rounds, counting
+    /// work and final prefix — in memory and from an `.icsr` file.
+    #[test]
+    fn se_statistics_equal_local_search_p_after_k_items() {
+        let dir = ScratchDir::new("ic-se");
+        let graphs = [
+            figure3(),
+            assemble(3000, &barabasi_albert(3000, 4, 9), WeightKind::PageRank),
+            assemble(2000, &gnm(2000, 9000, 5), WeightKind::Uniform(5)),
+        ];
+        let mut multi_round = false;
+        for (i, g) in graphs.iter().enumerate() {
+            let file = disk(g, &dir, &format!("g{i}.icsr"));
+            for gamma in [2u32, 3, 4] {
+                for k in [1usize, 10, 100] {
+                    let mut p = ProgressiveSearch::new(g, gamma);
+                    let taken = p.by_ref().take(k).count();
+                    let expected = p.stats();
+                    multi_round |= expected.rounds > 1;
+                    let (mem, mem_se) = local_search_se_top_k(g, gamma, k).unwrap();
+                    let (disk, disk_se) = local_search_se_top_k(&file, gamma, k).unwrap();
+                    for (label, cs, se) in [("memory", mem, mem_se), ("file", disk, disk_se)] {
+                        let got = se_search_result(cs, se);
+                        let ctx = format!("g{i} gamma={gamma} k={k} {label}");
+                        assert_eq!(got.communities.len(), taken, "{ctx}");
+                        assert_eq!(got.stats.rounds, expected.rounds, "{ctx}");
+                        assert_eq!(
+                            got.stats.total_counted_size, expected.total_counted_size,
+                            "{ctx}"
+                        );
+                        assert_eq!(
+                            got.stats.final_prefix_size, expected.final_prefix_size,
+                            "{ctx}"
+                        );
+                        assert_eq!(
+                            got.stats.final_prefix_len, expected.final_prefix_len,
+                            "{ctx}"
+                        );
+                    }
+                }
+            }
+        }
+        assert!(multi_round, "no case grew the prefix");
     }
 
     #[test]

@@ -12,11 +12,12 @@
 
 use std::time::Instant;
 
-/// Pipeline stages a query's wall-clock is attributed to, in pipeline
-/// order.
+/// Stages a query's wall-clock is attributed to, in wire-field order.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Stage {
-    /// Waiting in the worker pool's queue for a free worker.
+    /// Waiting for a search slot. Only a flight leader waits, between
+    /// its cache probe and its execution; hits, coalesced followers and
+    /// empty plans record none.
     Queue,
     /// Validation, registry lookup, and cost-model planning.
     Plan,

@@ -7,6 +7,9 @@
 //! #   printf 'QUERY email 10 4\nSTATS\nQUIT\n' | nc 127.0.0.1 7878
 //! ```
 //!
+//! `--workers N` sets how many searches may run at once (every other
+//! query is answered on its connection's thread).
+//!
 //! `--preload` registers two small Table 1 stand-in datasets (`email`,
 //! `wiki`) so the server is immediately queryable; otherwise clients
 //! register graphs themselves via `LOAD`/`GEN`.
@@ -163,7 +166,7 @@ fn main() -> ExitCode {
         }
     };
     println!(
-        "ic-service listening on {addr} ({} workers); {HELP}",
+        "ic-service listening on {addr} ({} search slots); {HELP}",
         svc.worker_count()
     );
     if let Err(e) = serve_with(&listener, svc, options) {

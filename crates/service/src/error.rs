@@ -26,8 +26,9 @@ pub enum ServiceError {
     /// replay) failed; the in-memory state is still consistent but is no
     /// longer guaranteed to survive a restart.
     Persistence(String),
-    /// The worker pool shut down mid-request, or a session's stream
-    /// panicked (which ends that session).
+    /// The query's search panicked (caught and counted in
+    /// `worker_panics`), or a session's stream panicked (which ends that
+    /// session).
     WorkerGone,
 }
 
@@ -41,7 +42,7 @@ impl fmt::Display for ServiceError {
             ServiceError::Update(msg) => write!(f, "update rejected: {msg}"),
             ServiceError::Storage(msg) => write!(f, "storage error: {msg}"),
             ServiceError::Persistence(msg) => write!(f, "persistence error: {msg}"),
-            ServiceError::WorkerGone => write!(f, "worker shut down while serving the request"),
+            ServiceError::WorkerGone => write!(f, "the search panicked while serving the request"),
         }
     }
 }

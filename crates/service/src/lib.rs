@@ -17,17 +17,19 @@
 //!   and an explainable decision ([`planner::Explain`]). The planner's
 //!   output is consumed through the [`ic_core::query::Algorithm`] trait —
 //!   the service contains no per-algorithm dispatch of its own.
-//! * [`service::Service`] — the engine: a fixed worker pool (panicking
-//!   jobs are caught and counted, never shrink the pool) executing
-//!   queries against shared graphs behind a sharded LRU [`cache`] keyed
+//! * [`service::Service`] — the engine: queries run on their callers'
+//!   threads against shared graphs behind a sharded LRU [`cache`] keyed
 //!   by `(graph, γ, k, answer-family)` — *prefix-aware* within the core
 //!   family, so a cached top-k′ serves every k ≤ k′ by slicing — with an
 //!   [`inflight`] single-flight table coalescing identical concurrent
 //!   cold queries into one execution, and hit/miss/coalesced/latency
-//!   counters snapshotted as [`stats::ServiceStats`].
-//!   [`service::Service::query_batch`] answers whole request lists with
-//!   one search per `(graph, generation, γ, family)` group, executed at
-//!   the group's largest k and sliced per request.
+//!   counters snapshotted as [`stats::ServiceStats`]. Only a flight
+//!   leader's search takes one of a fixed number of search slots,
+//!   admitted in arrival order (a panicking search is caught and
+//!   counted, and frees its slot); hits and followers never wait behind
+//!   a search. [`service::Service::query_batch`] answers whole request
+//!   lists with one search per `(graph, generation, γ, family)` group,
+//!   executed at the group's largest k and sliced per request.
 //! * [`session::Session`] — progressive sessions: pull communities one
 //!   batch at a time across calls, each session a mutex around a
 //!   `ProgressiveSearch` iterator that owns its share of the graph, pulled
@@ -58,7 +60,7 @@
 //! let svc = Service::with_defaults();
 //! svc.register("fig3", figure3());
 //!
-//! // batch query through the pool + cache
+//! // batch query through the cache, on this thread
 //! let resp = svc.query(Query::new("fig3", 3, 4)).unwrap();
 //! assert_eq!(resp.communities.len(), 4);
 //! assert!(svc.query(Query::new("fig3", 3, 4)).unwrap().cached);
@@ -95,11 +97,11 @@
 
 pub mod cache;
 pub mod error;
+mod gate;
 pub mod inflight;
 pub mod metrics;
 mod persist;
 pub mod planner;
-pub mod pool;
 pub mod protocol;
 pub mod registry;
 pub mod server;
@@ -115,7 +117,6 @@ pub use ic_obs::{QueryClass, QueryTrace, Stage};
 pub use inflight::InflightTable;
 pub use metrics::{ServiceMetrics, SlowQuery};
 pub use planner::{plan, plan_stored, Algorithm, Explain, Mode, Query};
-pub use pool::WorkerPool;
 pub use registry::{GraphRegistry, RegisteredGraph};
 pub use server::{serve, serve_metrics, serve_with, Accept, ServerOptions};
 pub use service::{QueryResponse, Service, ServiceConfig, SyntheticSpec, UpdateStatus};

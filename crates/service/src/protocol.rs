@@ -23,8 +23,8 @@
 //!                                        progressive, forward, online_all,
 //!                                        backward, naive, truss)
 //! EXPLAIN ANALYZE <graph> <gamma> <k> [mode]
-//!                                        run the query through the pool and
-//!                                        report the plan next to *measured*
+//!                                        run the query exactly as QUERY does
+//!                                        and report the plan next to *measured*
 //!                                        per-stage nanoseconds (queue, plan,
 //!                                        cache, execute, serialize) and the
 //!                                        execution's I/O delta
@@ -432,8 +432,8 @@ fn handle_batch(svc: &Arc<Service>, tail: &str) -> Result<String, ServiceError> 
     Ok(out)
 }
 
-/// `EXPLAIN ANALYZE <graph> <gamma> <k> [mode]`: run the query through
-/// the pool exactly as `QUERY` would, and report the planner's choice
+/// `EXPLAIN ANALYZE <graph> <gamma> <k> [mode]`: run the query exactly
+/// as `QUERY` would, and report the planner's choice
 /// next to the *measured* per-stage nanoseconds from the trace. The
 /// stage fields tile the total exactly (`total_ns` is their sum), so a
 /// client can see where the latency went; `reason` stays last because

@@ -1,11 +1,11 @@
 //! TCP front-end: one thread per connection, requests handled by
 //! [`crate::protocol::handle_line`].
 //!
-//! Connection threads are deliberately thin — they parse nothing and
-//! compute nothing. Every batch query funnels into the service's fixed
-//! worker pool, so a burst of connections cannot oversubscribe the CPU:
-//! N connections share `workers` execution threads, queueing FIFO behind
-//! them. A session `NEXT` pulls on its connection's thread, under that
+//! A connection's thread answers its own requests: cache hits,
+//! coalesced followers and session `NEXT` pulls never leave it. Only a
+//! search takes one of the service's `workers` search slots, admitted
+//! FIFO, so a burst of connections cannot oversubscribe the CPU with
+//! searches while hits keep flowing. A session `NEXT` pulls under that
 //! session's own lock.
 //!
 //! The accept loops are load-safe: the errors sustained traffic provokes

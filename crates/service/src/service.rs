@@ -1,34 +1,34 @@
-//! The service façade: registry + planner + pool + cache + sessions.
+//! The service façade: registry + planner + cache + search gate +
+//! sessions.
 //!
 //! One [`Service`] owns everything a deployment needs: the named-graph
-//! registry, the cost-model planner, the worker pool batch queries run
-//! on, the sharded result cache in front of them, the table of live
-//! progressive sessions, and the counters behind `STATS`. All methods
-//! take `&self`; the service is designed to sit in an [`Arc`] shared by
-//! every connection handler.
+//! registry, the cost-model planner, the sharded result cache, the gate
+//! that bounds concurrent searches, the table of live progressive
+//! sessions, and the counters behind `STATS`. All methods take `&self`;
+//! the service is designed to sit in an [`Arc`] shared by every
+//! connection handler, and it starts no thread of its own.
 //!
-//! A batch query flows: validate → look up graph →
+//! A batch query runs on its caller's thread: validate → look up graph →
 //! [`plan_stored`] (fed the registered statistics and the storage
 //! backend; a plan proved empty by the degeneracy is answered right
 //! here) → probe the cache keyed by
 //! `(graph, generation, γ, k, family)` — prefix-aware within the core
 //! family, so a larger-k entry of the same lane serves smaller k by
 //! slicing — → join the key's *single flight*: concurrent
-//! identical cold queries elect one leader that executes the planned
-//! algorithm while the rest block on its answer (`coalesced` in the
-//! stats) → the leader publishes to cache and followers alike.
-//! [`Service::query`] pushes that whole pipeline onto the worker pool
-//! and blocks on the reply, so callers on N connection threads share the
-//! pool's fixed parallelism; [`Service::execute_inline`] runs it on the
-//! caller's thread (what the workers themselves, and single-threaded
-//! users, call); [`Service::query_batch`] groups whole request lists by
-//! `(graph, generation, γ, family)` and answers each group with one
-//! search at the group's largest k.
+//! identical cold queries elect one leader while the rest block on its
+//! answer (`coalesced` in the stats) → the leader waits for one of
+//! [`ServiceConfig::workers`] search slots, admitted in arrival order,
+//! executes the planned algorithm in it, and publishes to cache and
+//! followers alike. Hits, followers and empty plans never take a slot,
+//! so none of them waits behind a search. [`Service::query_traced`] is
+//! that pipeline and [`Service::query`] drops its trace;
+//! [`Service::query_batch`] groups whole request lists by
+//! `(graph, generation, γ, family)` and answers each group, in request
+//! order, with one pass through the pipeline at the group's largest k.
 
 use std::collections::hash_map::Entry as MapEntry;
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::mpsc::{channel, Receiver};
 use std::sync::{Arc, Mutex, RwLock};
 use std::time::{Duration, Instant};
 
@@ -39,13 +39,13 @@ use ic_graph::generators::{assemble, barabasi_albert, gnm, rmat, RmatParams, Wei
 use ic_graph::{io, save_icsr, FileCsr, GraphStore, IoStats, WeightedGraph};
 use ic_obs::{QueryClass, QueryTrace, Stage};
 
-use crate::cache::{slice_prefix, CacheKey, ResultCache};
+use crate::cache::{slice_prefix, CacheHit, CacheKey, ResultCache};
 use crate::error::ServiceError;
+use crate::gate::SearchGate;
 use crate::inflight::{InflightTable, Join};
 use crate::metrics::{ServiceMetrics, SlowQuery};
 use crate::persist::Persistence;
 use crate::planner::{plan_stored, Explain, Mode, Query};
-use crate::pool::WorkerPool;
 use crate::registry::{GraphRegistry, RegisteredGraph};
 use crate::session::Session;
 use crate::stats::{ServiceStats, StatsRecorder};
@@ -54,7 +54,9 @@ use crate::sync::{lock_or_poison, read_or_poison, write_or_poison};
 /// Sizing knobs for a [`Service`].
 #[derive(Debug, Clone, Copy)]
 pub struct ServiceConfig {
-    /// Worker threads executing batch queries.
+    /// Search slots: how many algorithm executions may run at once
+    /// (floored at 1). Queries run on their callers' threads; only a
+    /// flight leader's search waits for a slot, in arrival order.
     pub workers: usize,
     /// Total result-cache entries.
     pub cache_capacity: usize,
@@ -99,7 +101,8 @@ pub struct QueryResponse {
     /// already executing when this one arrived (single-flight): this
     /// query blocked on that execution instead of running its own.
     pub coalesced: bool,
-    /// Wall-clock time spent answering, excluding queue wait.
+    /// Wall-clock time spent answering after planning, excluding the
+    /// wait for a search slot.
     pub latency: Duration,
     /// Access statistics of the executed algorithm (every algorithm
     /// reports them uniformly); `None` for cache hits, which executed
@@ -176,7 +179,7 @@ pub struct Service {
     inflight: InflightTable,
     stats: StatsRecorder,
     metrics: ServiceMetrics,
-    pool: WorkerPool,
+    gate: SearchGate,
     sessions: Mutex<HashMap<u64, Arc<Session>>>,
     next_session_id: AtomicU64,
     /// Per-name dynamic overlays, created lazily by the first update.
@@ -188,8 +191,8 @@ pub struct Service {
 }
 
 impl Service {
-    /// Builds a service and wraps it in the [`Arc`] everything downstream
-    /// (pool dispatch, connection handlers) needs.
+    /// Builds a service and wraps it in the [`Arc`] connection handlers
+    /// share. No thread is started.
     pub fn new(config: ServiceConfig) -> Arc<Self> {
         Self::build(config, None)
     }
@@ -235,7 +238,7 @@ impl Service {
                 config.slowlog_capacity,
                 config.slowlog_threshold.as_nanos() as u64,
             ),
-            pool: WorkerPool::new(config.workers),
+            gate: SearchGate::new(config.workers),
             sessions: Mutex::new(HashMap::new()),
             next_session_id: AtomicU64::new(1),
             dynamics: RwLock::new(HashMap::new()),
@@ -482,29 +485,23 @@ impl Service {
         ))
     }
 
-    /// Answers a query on the calling thread: validate through the core
-    /// builder, plan (an [`Explain::empty`] plan returns the empty answer
-    /// here), probe the cache (prefix-aware within the core family), join
-    /// or lead the key's single flight, and execute the planned algorithm
-    /// through the [`ic_core::query::Algorithm`] trait only as the
-    /// flight's leader. This is the pipeline the pool workers run.
-    pub fn execute_inline(&self, query: &Query) -> Result<QueryResponse, ServiceError> {
+    /// Answers a query on the calling thread and returns the measured
+    /// per-stage trace next to the response — the numbers
+    /// `EXPLAIN ANALYZE` prints beside the planner's estimates.
+    ///
+    /// The pipeline: validate through the core builder, plan (an
+    /// [`Explain::empty`] plan returns the empty answer here), probe the
+    /// cache (prefix-aware within the core family), join or lead the
+    /// key's single flight, and only as the flight's leader wait for a
+    /// search slot and execute the planned algorithm through the
+    /// [`ic_core::query::Algorithm`] trait. Every boundary laps a stage,
+    /// so the stages tile the end-to-end total: slot wait (leaders only),
+    /// plan, cache probe, execute (with the store's I/O delta),
+    /// serialize. The finished trace is recorded in the per-class latency
+    /// histograms (and the slow-query ring, if it qualifies) before the
+    /// response returns.
+    pub fn query_traced(&self, query: Query) -> Result<(QueryResponse, QueryTrace), ServiceError> {
         let mut trace = QueryTrace::start();
-        self.execute_traced(query, &mut trace)
-    }
-
-    /// [`Service::execute_inline`] with the caller's [`QueryTrace`]
-    /// threaded through: every pipeline boundary laps a stage, the
-    /// executed store's `IoStats` delta is attributed, and the finished
-    /// trace is recorded in the per-class latency histograms (and the
-    /// slow-query ring, if it qualifies) before the response returns.
-    /// Callers that pre-charged time (the pool's queue wait) pass the
-    /// trace they already started.
-    pub fn execute_traced(
-        &self,
-        query: &Query,
-        trace: &mut QueryTrace,
-    ) -> Result<QueryResponse, ServiceError> {
         let core_query = query.to_core()?;
         let entry = self.registry.get(&query.graph)?;
         let explain = plan_stored(
@@ -528,16 +525,29 @@ impl Service {
         };
         // Closes the trace and records it under `class`; response
         // assembly between the last lap and here lands in Serialize.
-        let finish = |trace: &mut QueryTrace, class: QueryClass| {
+        let finish = |mut trace: QueryTrace, class: QueryClass| {
             trace.finish();
             self.metrics.record_query(
                 class,
-                trace,
+                &trace,
                 &query.graph,
                 query.gamma,
                 query.k,
                 explain.algorithm,
             );
+            trace
+        };
+        let serve_hit = |mut trace: QueryTrace, hit: CacheHit| {
+            trace.lap(Stage::CacheProbe);
+            let resp = response(hit.communities, true, false, None);
+            let class = if hit.exact {
+                self.stats.record_hit(resp.latency);
+                QueryClass::Cached
+            } else {
+                self.stats.record_prefix_hit(resp.latency);
+                QueryClass::PrefixServed
+            };
+            (resp, finish(trace, class))
         };
         if explain.empty {
             // γ above the degeneracy: the plan is the proof that no
@@ -550,8 +560,7 @@ impl Service {
                 Some(SearchStats::default()),
             );
             self.stats.record_empty_plan(resp.latency);
-            finish(trace, QueryClass::Cold);
-            return Ok(resp);
+            return Ok((resp, finish(trace, QueryClass::Cold)));
         }
         // The key carries the generation of the instance this execution
         // read (so a result computed against a since-replaced graph is
@@ -567,17 +576,7 @@ impl Service {
         };
         loop {
             if let Some(hit) = self.cache.get_serving(&key) {
-                trace.lap(Stage::CacheProbe);
-                let resp = response(hit.communities, true, false, None);
-                let class = if hit.exact {
-                    self.stats.record_hit(resp.latency);
-                    QueryClass::Cached
-                } else {
-                    self.stats.record_prefix_hit(resp.latency);
-                    QueryClass::PrefixServed
-                };
-                finish(trace, class);
-                return Ok(resp);
+                return Ok(serve_hit(trace, hit));
             }
             // The failed probe is cache time; the join below may block
             // for a whole leader execution, which is this query's
@@ -588,53 +587,48 @@ impl Service {
                     // Re-probe under leadership: a previous leader may
                     // have published between our miss and the election.
                     if let Some(hit) = self.cache.get_serving(&key) {
-                        trace.lap(Stage::CacheProbe);
                         flight.publish(Arc::clone(&hit.communities));
-                        let resp = response(hit.communities, true, false, None);
-                        let class = if hit.exact {
-                            self.stats.record_hit(resp.latency);
-                            QueryClass::Cached
-                        } else {
-                            self.stats.record_prefix_hit(resp.latency);
-                            QueryClass::PrefixServed
-                        };
-                        finish(trace, class);
-                        return Ok(resp);
+                        return Ok(serve_hit(trace, hit));
                     }
-                    // If the search below panics (or errors out through
-                    // `?`), the flight guard wakes followers empty-handed
-                    // and one of them re-leads — and hits the same typed
-                    // error itself rather than hanging.
-                    let io_before = entry.store.io_totals();
-                    let result = explain
-                        .algorithm
-                        .resolve()
-                        .run_store(&entry.store, &core_query)
-                        .map_err(|e| match e {
-                            QueryError::Unsupported { .. } => ServiceError::Storage(e.to_string()),
-                            QueryError::Io(_) => ServiceError::Storage(e.to_string()),
-                            other => ServiceError::InvalidQuery(other.to_string()),
-                        })?;
+                    trace.lap(Stage::CacheProbe);
+                    // Only the search takes a slot, and it waits for none
+                    // of the service's flights or locks, so no slot is
+                    // ever held by a thread that waits on another query.
+                    // If the search panics or errors out through `?`, the
+                    // flight guard wakes followers empty-handed and one of
+                    // them re-leads — and hits the same typed error
+                    // itself rather than hanging.
+                    let algorithm = explain.algorithm.resolve();
+                    let (result, io) = self.gate.run(|| {
+                        trace.lap(Stage::Queue);
+                        let io_before = entry.store.io_totals();
+                        let result = algorithm.run_store(&entry.store, &core_query);
+                        (result, entry.store.io_totals().delta_since(io_before))
+                    })?;
+                    let result = result.map_err(|e| match e {
+                        QueryError::Unsupported { .. } => ServiceError::Storage(e.to_string()),
+                        QueryError::Io(_) => ServiceError::Storage(e.to_string()),
+                        other => ServiceError::InvalidQuery(other.to_string()),
+                    })?;
                     trace.lap(Stage::Execute);
-                    let io = entry.store.io_totals().delta_since(io_before);
                     trace.add_io(io.bytes_read, io.read_ops);
                     self.metrics
                         .record_execute(entry.store.kind(), trace.stage_ns(Stage::Execute));
                     let communities = Arc::new(result.communities);
                     self.cache.insert(key.clone(), communities.clone());
                     flight.publish(communities.clone());
-                    let resp = response(communities, false, false, Some(result.stats));
+                    let mut resp = response(communities, false, false, Some(result.stats));
+                    let waited = Duration::from_nanos(trace.stage_ns(Stage::Queue));
+                    resp.latency = resp.latency.saturating_sub(waited);
                     self.stats.record_miss(explain.algorithm, resp.latency);
-                    finish(trace, QueryClass::Cold);
-                    return Ok(resp);
+                    return Ok((resp, finish(trace, QueryClass::Cold)));
                 }
                 Join::Follower(Some(communities)) => {
                     // the blocked wait on the leader is execute-by-proxy
                     trace.lap(Stage::Execute);
                     let resp = response(communities, false, true, None);
                     self.stats.record_coalesced(resp.latency);
-                    finish(trace, QueryClass::CoalescedFollower);
-                    return Ok(resp);
+                    return Ok((resp, finish(trace, QueryClass::CoalescedFollower)));
                 }
                 // the leader died without publishing; retry (and very
                 // likely lead this time)
@@ -643,71 +637,10 @@ impl Service {
         }
     }
 
-    /// Dispatches a query to the worker pool without waiting; the result
-    /// arrives on the returned channel.
-    pub fn query_async(
-        self: &Arc<Self>,
-        query: Query,
-    ) -> Receiver<Result<QueryResponse, ServiceError>> {
-        let (tx, rx) = channel();
-        let svc = Arc::clone(self);
-        // The trace starts at submission, so the time until a worker
-        // picks the job up is charged to the Queue stage.
-        let mut trace = QueryTrace::start();
-        let accepted = self.pool.submit(move || {
-            trace.lap(Stage::Queue);
-            #[expect(
-                clippy::let_underscore_must_use,
-                reason = "a hung-up caller has no use for the answer, which stats already counted"
-            )]
-            let _ = tx.send(svc.execute_traced(&query, &mut trace));
-        });
-        if !accepted {
-            // The pool only refuses during teardown; surface that as an
-            // immediately-failed receiver rather than a hang.
-            let (tx2, rx2) = channel();
-            #[expect(
-                clippy::let_underscore_must_use,
-                reason = "the receiver is returned below, so this send cannot fail"
-            )]
-            let _ = tx2.send(Err(ServiceError::WorkerGone));
-            return rx2;
-        }
-        rx
-    }
-
-    /// Answers a query through the worker pool, blocking until done.
-    pub fn query(self: &Arc<Self>, query: Query) -> Result<QueryResponse, ServiceError> {
-        self.query_async(query)
-            .recv()
-            .map_err(|_| ServiceError::WorkerGone)?
-    }
-
-    /// Answers a query through the worker pool and returns the measured
-    /// per-stage trace next to the response — the numbers
-    /// `EXPLAIN ANALYZE` prints beside the planner's estimates. The
-    /// trace's stage timings tile its end-to-end total: queue wait, plan,
-    /// cache probe, execute (with the store's I/O delta), serialize.
-    pub fn query_traced(
-        self: &Arc<Self>,
-        query: Query,
-    ) -> Result<(QueryResponse, QueryTrace), ServiceError> {
-        let (tx, rx) = channel();
-        let svc = Arc::clone(self);
-        let mut trace = QueryTrace::start();
-        let accepted = self.pool.submit(move || {
-            trace.lap(Stage::Queue);
-            let result = svc.execute_traced(&query, &mut trace);
-            #[expect(
-                clippy::let_underscore_must_use,
-                reason = "a hung-up caller has no use for the answer, which stats already counted"
-            )]
-            let _ = tx.send(result.map(|resp| (resp, trace)));
-        });
-        if !accepted {
-            return Err(ServiceError::WorkerGone);
-        }
-        rx.recv().map_err(|_| ServiceError::WorkerGone)?
+    /// Answers a query on the calling thread ([`Service::query_traced`]
+    /// without the trace).
+    pub fn query(&self, query: Query) -> Result<QueryResponse, ServiceError> {
+        self.query_traced(query).map(|(resp, _)| resp)
     }
 
     /// Answers many queries with as few searches as possible: requests
@@ -719,7 +652,10 @@ impl Service {
     /// top-k′ for k ≤ k′ (§4 of the paper). The prefix guarantee is a
     /// core-family property; truss requests therefore group by their
     /// exact k (sharing an execution only with identical requests, never
-    /// sliced). Groups run concurrently on the worker pool.
+    /// sliced). Groups run one after another, in request order, on the
+    /// calling thread: a group that waited on another query's flight
+    /// while holding a search slot could block every slot on leaders
+    /// queued behind it, so only searches ever take slots.
     ///
     /// Results come back in request order. Per-request failures
     /// (unknown graph, invalid parameters) fail only their own slot.
@@ -729,12 +665,10 @@ impl Service {
     /// communities any individual issuance would have produced.
     #[expect(
         clippy::indexing_slicing,
-        reason = "every index is a position in `queries`, and `results` has one slot per query"
+        reason = "every index is a position in `queries` or `groups`, and `results` has one \
+                  slot per query"
     )]
-    pub fn query_batch(
-        self: &Arc<Self>,
-        queries: &[Query],
-    ) -> Vec<Result<QueryResponse, ServiceError>> {
+    pub fn query_batch(&self, queries: &[Query]) -> Vec<Result<QueryResponse, ServiceError>> {
         self.stats.record_batch();
         let mut results: Vec<Option<Result<QueryResponse, ServiceError>>> =
             (0..queries.len()).map(|_| None).collect();
@@ -750,8 +684,8 @@ impl Service {
             mode: Option<Mode>, // uniform mode, if any
         }
         type GroupKey = (String, u64, u32, ic_core::AnswerFamily, usize);
-        let mut order: Vec<GroupKey> = Vec::new();
-        let mut groups: HashMap<GroupKey, Group> = HashMap::new();
+        let mut groups: Vec<Group> = Vec::new(); // in order of first request
+        let mut index: HashMap<GroupKey, usize> = HashMap::new();
         for (i, q) in queries.iter().enumerate() {
             if let Err(e) = q.validate() {
                 results[i] = Some(Err(e));
@@ -774,14 +708,15 @@ impl Service {
                 _ => q.k,
             };
             let key = (q.graph.clone(), entry.generation, q.gamma, family, k_lane);
-            let group = groups.entry(key.clone()).or_insert_with(|| {
-                order.push(key);
-                Group {
+            let g = *index.entry(key).or_insert_with(|| {
+                groups.push(Group {
                     members: Vec::new(),
                     max_k: 0,
                     mode: Some(q.mode),
-                }
+                });
+                groups.len() - 1
             });
+            let group = &mut groups[g];
             group.members.push(i);
             group.max_k = group.max_k.max(q.k);
             if group.mode != Some(q.mode) {
@@ -789,49 +724,15 @@ impl Service {
             }
         }
 
-        // Execute each group once (at its max k) on the pool; groups on
-        // different graphs/γ proceed in parallel.
-        let (tx, rx) = channel::<(Vec<usize>, Vec<Result<QueryResponse, ServiceError>>)>();
-        let mut dispatched = 0usize;
-        for key in order {
-            // every key in `order` was inserted exactly once above
-            debug_assert!(groups.contains_key(&key));
-            let Some(group) = groups.remove(&key) else {
-                continue;
-            };
-            let svc = Arc::clone(self);
-            let queries_of_group: Vec<Query> =
-                group.members.iter().map(|&i| queries[i].clone()).collect();
-            let tx = tx.clone();
-            let members = group.members.clone();
-            let max_k = group.max_k;
-            let mode = group.mode.unwrap_or(Mode::Auto);
-            let accepted = self.pool.submit(move || {
-                let out = svc.execute_group_inline(&queries_of_group, max_k, mode);
-                #[expect(
-                    clippy::let_underscore_must_use,
-                    reason = "a hung-up batch caller has no use for the answers"
-                )]
-                let _ = tx.send((members, out));
-            });
-            if accepted {
-                dispatched += 1;
-            } else {
-                // pool shutting down: fail this group's slots immediately
-                for &i in &group.members {
-                    results[i] = Some(Err(ServiceError::WorkerGone));
-                }
-            }
-        }
-        drop(tx);
-        for _ in 0..dispatched {
-            let Ok((members, out)) = rx.recv() else {
-                break; // a worker died mid-batch; slots stay WorkerGone below
-            };
-            for (i, r) in members.into_iter().zip(out) {
+        for group in groups {
+            let members: Vec<&Query> = group.members.iter().map(|&i| &queries[i]).collect();
+            let answers =
+                self.execute_group(&members, group.max_k, group.mode.unwrap_or(Mode::Auto));
+            for (i, r) in group.members.into_iter().zip(answers) {
                 results[i] = Some(r);
             }
         }
+        // every slot was filled above: by its own error or its group
         results
             .into_iter()
             .map(|r| r.unwrap_or(Err(ServiceError::WorkerGone)))
@@ -848,9 +749,9 @@ impl Service {
     /// latency counters once, not once per member. (Their
     /// `QueryResponse::latency` still reports the group wall-clock they
     /// actually waited.)
-    fn execute_group_inline(
+    fn execute_group(
         &self,
-        member_queries: &[Query],
+        member_queries: &[&Query],
         max_k: usize,
         mode: Mode,
     ) -> Vec<Result<QueryResponse, ServiceError>> {
@@ -863,7 +764,7 @@ impl Service {
             k: max_k,
             mode,
         };
-        let group_resp = match self.execute_inline(&lead) {
+        let group_resp = match self.query(lead) {
             Ok(resp) => resp,
             Err(e) => return member_queries.iter().map(|_| Err(e.clone())).collect(),
         };
@@ -970,10 +871,10 @@ impl Service {
     // ----- introspection -----------------------------------------------
 
     /// A point-in-time snapshot of the hit/miss/latency counters, with
-    /// the pool's panic count folded in.
+    /// the search gate's panic count folded in.
     pub fn stats(&self) -> ServiceStats {
         let mut stats = self.stats.snapshot();
-        stats.worker_panics = self.pool.panic_count();
+        stats.worker_panics = self.gate.panics();
         stats
     }
 
@@ -1092,7 +993,7 @@ impl Service {
         );
         p.header(
             "ic_worker_panics_total",
-            "Jobs that panicked (workers survive).",
+            "Searches that panicked (caught; their slots were released).",
             "counter",
         );
         p.sample("ic_worker_panics_total", &[], stats.worker_panics);
@@ -1138,20 +1039,20 @@ impl Service {
             );
         }
 
-        p.header("ic_pool_workers", "Worker threads in the pool.", "gauge");
-        p.sample("ic_pool_workers", &[], self.pool.worker_count() as u64);
+        p.header("ic_pool_workers", "Search slots.", "gauge");
+        p.sample("ic_pool_workers", &[], self.gate.slots() as u64);
         p.header(
             "ic_pool_queue_depth",
-            "Jobs submitted but not yet picked up by a worker.",
+            "Searches waiting for a slot.",
             "gauge",
         );
-        p.sample("ic_pool_queue_depth", &[], self.pool.queue_depth());
+        p.sample("ic_pool_queue_depth", &[], self.gate.queue_depth());
         p.header(
             "ic_pool_busy_ns_total",
-            "Cumulative nanoseconds workers spent executing jobs.",
+            "Cumulative nanoseconds searches spent in their slots.",
             "counter",
         );
-        p.sample("ic_pool_busy_ns_total", &[], self.pool.busy_ns());
+        p.sample("ic_pool_busy_ns_total", &[], self.gate.busy_ns());
 
         p.header("ic_cache_entries", "Result-cache entries.", "gauge");
         p.sample("ic_cache_entries", &[], self.cache.len() as u64);
@@ -1274,13 +1175,14 @@ impl Service {
         self.cache.clear();
     }
 
-    /// Worker threads in the batch pool.
+    /// Search slots: how many searches may run at once
+    /// ([`ServiceConfig::workers`], floored at 1).
     pub fn worker_count(&self) -> usize {
-        self.pool.worker_count()
+        self.gate.slots()
     }
 
     /// Test seam: plants a cache entry directly, simulating an in-flight
-    /// worker whose insert lands after a graph replacement.
+    /// leader whose insert lands after a graph replacement.
     #[cfg(test)]
     pub(crate) fn cache_insert_for_test(&self, key: CacheKey, value: Arc<Vec<Community>>) {
         self.cache.insert(key, value);
@@ -1294,6 +1196,7 @@ mod tests {
     use ic_core::query::Selection;
     use ic_core::TopKQuery;
     use ic_graph::paper::{figure1, figure3};
+    use std::sync::mpsc::channel;
 
     /// Single-threaded reference through the unified core API.
     fn direct_top_k(g: &WeightedGraph, gamma: u32, k: usize) -> Vec<Community> {
@@ -1750,7 +1653,7 @@ mod tests {
 
     #[test]
     fn stale_generation_insert_is_never_served() {
-        // A worker that read the old registry entry may insert its result
+        // A leader that read the old registry entry may insert its result
         // after the graph is replaced; the generation in the key must make
         // that insert unreachable for new queries.
         let svc = service_with_fig3();

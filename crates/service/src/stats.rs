@@ -1,6 +1,6 @@
 //! Lock-free service counters and their snapshot type.
 //!
-//! Workers bump relaxed atomics on every query; [`StatsRecorder::snapshot`]
+//! Query threads bump relaxed atomics on every query; [`StatsRecorder::snapshot`]
 //! reads them into the plain-old-data [`ServiceStats`] handed to clients
 //! (the `STATS` protocol verb). Relaxed ordering is deliberate: counters
 //! are monotone and independent, and a snapshot only needs to be
@@ -123,7 +123,7 @@ impl StatsRecorder {
             coalesced: self.coalesced.load(Ordering::Relaxed),
             prefix_served: self.prefix_served.load(Ordering::Relaxed),
             batches: self.batches.load(Ordering::Relaxed),
-            worker_panics: 0, // owned by the pool; merged by Service::stats
+            worker_panics: 0, // owned by the search gate; merged by Service::stats
             executed,
             query_latency_ns: self.query_latency_ns.load(Ordering::Relaxed),
             sessions_opened: self.sessions_opened.load(Ordering::Relaxed),
@@ -156,7 +156,7 @@ pub struct ServiceStats {
     pub prefix_served: u64,
     /// `query_batch` invocations (member requests count in `queries`).
     pub batches: u64,
-    /// Worker-pool jobs that panicked (caught; the worker survived).
+    /// Searches that panicked (caught; their slots were released).
     pub worker_panics: u64,
     /// Executions per algorithm, indexed by [`Algorithm::index`] (the
     /// order of [`Algorithm::ALL`]); see [`Self::executions`].

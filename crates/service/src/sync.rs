@@ -7,13 +7,13 @@
 //! statement boundary: counter bumps, map inserts/removals, and
 //! whole-value swaps, never multi-step constructions that a panic
 //! could leave half-done. Query execution — the only code that runs
-//! arbitrary per-algorithm logic — happens on the worker pool, where
-//! [`crate::pool`] wraps each job in `catch_unwind` *before* any
-//! service lock is touched, so a panicking query cannot poison shared
-//! state in the first place. The one lock held while an algorithm runs
-//! is a session's stream slot: [`crate::session`] pulls under
-//! `catch_unwind` with the stream taken out of the slot, and puts it back
-//! only if the pull returned.
+//! arbitrary per-algorithm logic — happens on the caller's thread inside
+//! a search slot, where [`crate::gate`] wraps the search in
+//! `catch_unwind` and the caller holds no service lock while it runs, so
+//! a panicking query cannot poison shared state in the first place. The
+//! one lock held while an algorithm runs is a session's stream slot:
+//! [`crate::session`] pulls under `catch_unwind` with the stream taken
+//! out of the slot, and puts it back only if the pull returned.
 //!
 //! Given that, the right response to a poisoned lock is to keep
 //! serving: [`std::sync::PoisonError::into_inner`] hands back the

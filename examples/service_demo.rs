@@ -11,7 +11,7 @@ use influential_communities::service::protocol::handle_line;
 use influential_communities::service::{Service, ServiceConfig};
 
 fn main() {
-    // A service sized like a small deployment: 4 workers, a result cache.
+    // A service sized like a small deployment: 4 search slots, a cache.
     let svc = Service::new(ServiceConfig {
         workers: 4,
         cache_capacity: 256,
@@ -19,7 +19,7 @@ fn main() {
         ..ServiceConfig::default()
     });
 
-    // Graphs are registered once and shared, immutably, across workers.
+    // Graphs are registered once and shared, immutably, across threads.
     svc.register("fig3", figure3());
 
     // Every request below goes through the exact request → reply function

@@ -198,7 +198,7 @@ proptest! {
                 let name = format!("g-{label}");
                 svc.register(&name, g.clone());
                 let resp = svc
-                    .execute_inline(&Query::new(name, gamma, k).with_mode(mode))
+                    .query(Query::new(name, gamma, k).with_mode(mode))
                     .expect("query succeeds");
                 let expected: Vec<_> = reference.iter().take(k).collect();
                 prop_assert_eq!(
@@ -219,7 +219,7 @@ proptest! {
 
         // the infeasible-γ branch also returns exactly what naive says
         let resp = svc
-            .execute_inline(&Query::new("g", stats.gamma_max + 1, 2))
+            .query(Query::new("g", stats.gamma_max + 1, 2))
             .expect("query succeeds");
         prop_assert_eq!(resp.explain.algorithm, Algorithm::Forward);
         prop_assert!(resp.communities.is_empty());

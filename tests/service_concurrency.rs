@@ -6,14 +6,17 @@
 //! absorbing repeats.
 
 use std::collections::HashMap;
-use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::Arc;
 
 use influential_communities::dynamic::UpdateOp;
 use influential_communities::graph::generators::{assemble, barabasi_albert, gnm, WeightKind};
+use influential_communities::graph::scratch::ScratchDir;
 use influential_communities::search::query::Selection;
 use influential_communities::search::{Community, TopKQuery};
-use influential_communities::service::{Algorithm, Mode, Query, Service, ServiceConfig};
+use influential_communities::service::{
+    Algorithm, Mode, Query, Service, ServiceConfig, ServiceError,
+};
 
 /// The six interchangeable core-family algorithms (truss answers a
 /// different family and is exercised separately by the service tests).
@@ -233,9 +236,9 @@ fn assert_matches_direct(
     }
 }
 
-/// The single-flight guarantee (this PR's acceptance test): 32 threads
-/// fire the *same* cold query through `execute_inline` simultaneously,
-/// and the search must run exactly once — one cache miss, every other
+/// The single-flight guarantee: 32 threads fire the *same* cold query
+/// through `query` simultaneously, and the search must run exactly
+/// once — one cache miss, every other
 /// thread either coalesced onto the in-flight execution or (if it
 /// arrived after the answer landed) served from the cache. The search is
 /// made slow enough (forced OnlineAll on a 40k-edge graph) that under
@@ -244,11 +247,7 @@ fn assert_matches_direct(
 #[test]
 fn thundering_herd_executes_the_search_exactly_once() {
     const THREADS: usize = 32;
-    let g = assemble(
-        10_000,
-        &barabasi_albert(10_000, 4, 77),
-        WeightKind::PageRank,
-    );
+    let g = herd_graph();
     let svc = Service::new(ServiceConfig {
         workers: 4,
         cache_capacity: 64,
@@ -258,8 +257,6 @@ fn thundering_herd_executes_the_search_exactly_once() {
     svc.register("herd", g.clone());
     let reference = reference_top_k(&g, 2, 32);
 
-    // raw threads through execute_inline (not the pool, whose fixed
-    // width would serialize the herd and mask the race being tested)
     let start = Arc::new(std::sync::Barrier::new(THREADS));
     let handles: Vec<_> = (0..THREADS)
         .map(|_| {
@@ -267,10 +264,7 @@ fn thundering_herd_executes_the_search_exactly_once() {
             let start = Arc::clone(&start);
             std::thread::spawn(move || {
                 start.wait();
-                svc.execute_inline(
-                    &Query::new("herd", 2, 32).with_mode(Mode::Forced(Algorithm::OnlineAll)),
-                )
-                .expect("query succeeds")
+                svc.query(slow_herd_query()).expect("query succeeds")
             })
         })
         .collect();
@@ -302,6 +296,124 @@ fn thundering_herd_executes_the_search_exactly_once() {
         "a slow search must coalesce at least some of a 32-thread herd"
     );
     assert_eq!(stats.executions(Algorithm::OnlineAll), 1);
+}
+
+/// The herd graph: big enough that forced OnlineAll on it is slow.
+fn herd_graph() -> influential_communities::graph::WeightedGraph {
+    assemble(
+        10_000,
+        &barabasi_albert(10_000, 4, 77),
+        WeightKind::PageRank,
+    )
+}
+
+/// A slow cold query on the herd graph: OnlineAll extracts a component
+/// per keynode.
+fn slow_herd_query() -> Query {
+    Query::new("herd", 2, 32).with_mode(Mode::Forced(Algorithm::OnlineAll))
+}
+
+/// A hit never waits behind a search. With one search slot, the slow
+/// herd query holds the slot; meanwhile, on other threads, a warm query
+/// is answered from the cache before the search ends, an identical cold
+/// query coalesces onto the running search, and a batch holding the
+/// slow key and a warm key completes — and only the one search runs.
+#[test]
+fn a_hit_never_waits_behind_a_search() {
+    let g = herd_graph();
+    let svc = Service::new(ServiceConfig {
+        workers: 1,
+        cache_capacity: 64,
+        cache_shards: 4,
+        ..ServiceConfig::default()
+    });
+    svc.register("herd", g.clone());
+    // The probe that shows the slot is taken: a forced in-memory
+    // algorithm on a file-backed copy fails inside its slot, so it runs
+    // no search and counts as no query.
+    let dir = ScratchDir::new("hit-never-waits");
+    let path = dir.file("herd.icsr");
+    let path = path.to_str().unwrap();
+    svc.save_store("herd", path).unwrap();
+    svc.register_file("herd-file", path, None).unwrap();
+    let probe = Query::new("herd-file", 2, 1).with_mode(Mode::Forced(Algorithm::LocalSearch));
+    let warm = Query::new("herd", 3, 4);
+    assert!(!svc.query(warm.clone()).unwrap().cached);
+    let misses_before = svc.stats().cache_misses;
+
+    let slow_done = AtomicBool::new(false);
+    std::thread::scope(|s| {
+        let leader = s.spawn(|| {
+            let resp = svc.query(slow_herd_query()).expect("slow query succeeds");
+            slow_done.store(true, Ordering::SeqCst);
+            resp
+        });
+        // Send probes until one queues for the slot: then the leader has
+        // joined its flight and holds the slot, or is next in line.
+        let queued_probe = loop {
+            let attempt = s.spawn(|| svc.query(probe.clone()));
+            while queued_searches(&svc) == 0 && !attempt.is_finished() {
+                std::thread::yield_now();
+            }
+            if queued_searches(&svc) > 0 {
+                break attempt;
+            }
+            assert!(matches!(
+                attempt.join().unwrap(),
+                Err(ServiceError::Storage(_))
+            ));
+        };
+
+        let copy = s.spawn(|| svc.query(slow_herd_query()).expect("copy succeeds"));
+        let batch = s.spawn(|| svc.query_batch(&[slow_herd_query(), warm.clone()]));
+        let hit = s
+            .spawn(|| {
+                let resp = svc.query(warm.clone()).expect("warm query succeeds");
+                (resp, slow_done.load(Ordering::SeqCst))
+            })
+            .join()
+            .unwrap();
+        assert!(hit.0.cached, "the warm query missed the cache");
+        assert!(!hit.1, "the warm query waited for the search");
+
+        let copy = copy.join().unwrap();
+        assert!(copy.coalesced, "the copy did not join the running search");
+        let batch = batch.join().unwrap();
+        let slow_slot = batch[0].as_ref().expect("slow batch slot succeeds");
+        let warm_slot = batch[1].as_ref().expect("warm batch slot succeeds");
+        assert!(
+            slow_slot.coalesced,
+            "the batch did not join the running search"
+        );
+        assert!(warm_slot.cached);
+
+        let leader = leader.join().unwrap();
+        assert!(!leader.cached && !leader.coalesced);
+        let reference = reference_top_k(&g, 2, 32);
+        for resp in [&leader, &copy, slow_slot] {
+            assert_eq!(resp.communities.len(), reference.len());
+            for (a, b) in resp.communities.iter().zip(&reference) {
+                assert_eq!(a.members, b.members);
+            }
+        }
+        assert!(matches!(
+            queued_probe.join().unwrap(),
+            Err(ServiceError::Storage(_))
+        ));
+    });
+    let stats = svc.stats();
+    assert_eq!(stats.cache_misses, misses_before + 1, "{stats:?}");
+    assert_eq!(stats.executions(Algorithm::OnlineAll), 1);
+}
+
+/// `ic_pool_queue_depth`: searches waiting for a slot.
+fn queued_searches(svc: &Service) -> u64 {
+    let text = svc.metrics_text();
+    let depth = text
+        .lines()
+        .find_map(|l| l.strip_prefix("ic_pool_queue_depth "))
+        .expect("the gauge is exported");
+    depth.trim().parse().unwrap()
 }
 
 /// `query_batch` answers must be indistinguishable from the same queries
