@@ -5,11 +5,11 @@
 //! synthetic fixture files (the crate's own tests) with no filesystem
 //! coupling. Adding a check means: write the module, list it in
 //! [`ALL_CHECKS`], document it in the README's static-analysis table.
-//! A rule clippy or the type system can express belongs there instead.
+//! A rule that clippy, the type system or a test can express belongs
+//! there instead.
 
 pub mod locks;
 pub mod panic_free;
-pub mod protocol;
 
 use crate::source::SourceFile;
 use crate::Finding;
@@ -19,8 +19,6 @@ use crate::Finding;
 pub const IC_PANIC: &str = "IC-PANIC";
 /// Lock guard alive across a blocking call.
 pub const IC_LOCK: &str = "IC-LOCK";
-/// Protocol verb missing from a required surface.
-pub const IC_PROTO: &str = "IC-PROTO";
 /// Problems with the allowlist itself (stale or unjustified entries).
 pub const IC_ALLOW: &str = "IC-ALLOW";
 
@@ -36,10 +34,6 @@ pub const ALL_CHECKS: &[(&str, &str)] = &[
         "Mutex/RwLock guard alive across a blocking call (send/recv/accept/read_line/write_all/fsync)",
     ),
     (
-        IC_PROTO,
-        "every dispatched protocol verb documented in README, fuzzed in tests/protocol_robustness.rs, and counted where applicable",
-    ),
-    (
         IC_ALLOW,
         "lint-allow.toml hygiene: every entry justified, matching a live marker site",
     ),
@@ -51,7 +45,6 @@ pub fn run_all(files: &[SourceFile]) -> Vec<Finding> {
     let mut out = Vec::new();
     out.extend(panic_free::run(files));
     out.extend(locks::run(files));
-    out.extend(protocol::run(files));
     out
 }
 

@@ -2,13 +2,14 @@
 //! influential-communities repo (the `ic-lint` binary).
 //!
 //! It checks the serving-path rules that neither rustc nor clippy can
-//! express: no release-build `assert!` on connection-handling paths, no
-//! lock held across blocking I/O, every protocol verb
-//! documented/fuzzed/counted. The rest is the compiler's job: the
-//! serving crate and the load replayer deny clippy's panic and
-//! indexing lints, the serving and dynamic-update crates deny
-//! `let_underscore_must_use`, and `AlgorithmId`'s variants, `ALL` table
-//! and names come from one list. The checks are line/token-level
+//! express: no release-build `assert!` on connection-handling paths and
+//! no lock held across blocking I/O. The rest is the compiler's job or
+//! a test's: the serving crate and the load replayer deny clippy's panic
+//! and indexing lints, the serving and dynamic-update crates deny
+//! `let_underscore_must_use`, `AlgorithmId`'s variants, `ALL` table and
+//! names come from one list, and so do the protocol's verbs, which
+//! `dispatch` matches exhaustively and `tests/protocol_robustness.rs`
+//! checks against the README. The checks are line/token-level
 //! analysis over scrubbed sources (see [`source`]), no rustc plugin,
 //! std-only like the rest of the workspace.
 //!
@@ -80,16 +81,12 @@ impl Workspace {
 
     /// Loads the real workspace rooted at `root`: every `.rs` file
     /// outside `target/`, `vendor/`, and fixture directories, plus
-    /// `README.md` and `lint-allow.toml`.
+    /// `lint-allow.toml`.
     pub fn load(root: &Path) -> io::Result<Workspace> {
         let mut paths = Vec::new();
         collect(root, &mut paths)?;
         paths.sort();
-        let mut files = Vec::with_capacity(paths.len() + 1);
-        let readme = root.join("README.md");
-        if readme.is_file() {
-            files.push(SourceFile::new("README.md", &fs::read_to_string(readme)?));
-        }
+        let mut files = Vec::with_capacity(paths.len());
         for p in &paths {
             let rel = rel_path(root, p);
             files.push(SourceFile::new(rel, &fs::read_to_string(p)?));

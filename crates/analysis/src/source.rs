@@ -13,10 +13,8 @@
 //! introduced by a `#[cfg(test)]` attribute are marked `in_test`, and
 //! the serving-path checks skip those lines (tests may unwrap freely).
 //!
-//! The raw text is kept alongside because two things legitimately live
-//! in comments and strings: `lint:allow(CHECK-ID)` suppression markers,
-//! and the protocol/counter surfaces (verb match arms, `STATS` field
-//! names) that the sync checks extract.
+//! The raw text is kept alongside because `lint:allow(CHECK-ID)`
+//! suppression markers legitimately live in comments.
 
 /// One scanned file: the workspace-relative path plus per-line views.
 #[derive(Debug, Clone)]
@@ -42,19 +40,12 @@ pub struct Line<'a> {
 }
 
 impl SourceFile {
-    /// Scans `source` under the workspace-relative path `rel`. Files not
-    /// ending in `.rs` (README, TOML) skip Rust scrubbing: their `code`
-    /// view equals the raw text and nothing is test-gated.
+    /// Scans the Rust `source` under the workspace-relative path `rel`.
     pub fn new(rel: impl Into<String>, source: &str) -> SourceFile {
         let rel = rel.into();
         let raw: Vec<String> = source.lines().map(str::to_string).collect();
-        let (code, in_test) = if rel.ends_with(".rs") {
-            let scrubbed: Vec<String> = scrub_rust(source).lines().map(str::to_string).collect();
-            let tests = test_regions(&scrubbed);
-            (scrubbed, tests)
-        } else {
-            (raw.clone(), vec![false; raw.len()])
-        };
+        let code: Vec<String> = scrub_rust(source).lines().map(str::to_string).collect();
+        let in_test = test_regions(&code);
         let markers = raw.iter().map(|l| parse_markers(l)).collect();
         SourceFile {
             rel,
@@ -450,13 +441,5 @@ mod tests {
         ));
         assert!(contains_token("| `QUERY g k ...`", "QUERY"));
         assert!(!contains_token("SUBQUERYX", "QUERY"));
-    }
-
-    #[test]
-    fn non_rust_files_skip_scrubbing() {
-        let f = SourceFile::new("README.md", "| `QUERY` | runs unwrap() |\n");
-        let l = f.lines().next().unwrap();
-        assert!(l.code.contains("unwrap()"));
-        assert!(!l.in_test);
     }
 }

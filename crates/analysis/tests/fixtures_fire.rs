@@ -14,9 +14,6 @@ const PANIC_FIRES: &str = include_str!("fixtures/ic_panic_fires.rs");
 const PANIC_CLEAN: &str = include_str!("fixtures/ic_panic_clean.rs");
 const LOCK_FIRES: &str = include_str!("fixtures/ic_lock_fires.rs");
 const LOCK_CLEAN: &str = include_str!("fixtures/ic_lock_clean.rs");
-const PROTO_DISPATCH: &str = include_str!("fixtures/ic_proto_dispatch.rs");
-const PROTO_README: &str = include_str!("fixtures/ic_proto_readme.md");
-const PROTO_CORPUS: &str = include_str!("fixtures/ic_proto_corpus.rs");
 
 /// Scans one fixture under a serving-path name and returns the findings
 /// of a single check.
@@ -79,45 +76,6 @@ fn lock_fixture_fires_on_every_marked_line() {
 #[test]
 fn lock_near_misses_stay_silent() {
     let f = scan("crates/service/src/fixture.rs", LOCK_CLEAN, checks::IC_LOCK);
-    assert!(f.is_empty(), "{f:?}");
-}
-
-fn proto_files(readme: &str, corpus: &str) -> Vec<SourceFile> {
-    vec![
-        SourceFile::new("crates/service/src/protocol.rs", PROTO_DISPATCH),
-        SourceFile::new("README.md", readme),
-        SourceFile::new("tests/protocol_robustness.rs", corpus),
-        // counter evidence for the QUERY verb
-        SourceFile::new(
-            "crates/service/src/stats.rs",
-            "const LINE: &str = \"queries=\";\n",
-        ),
-    ]
-}
-
-#[test]
-fn proto_fixture_reports_the_uncovered_verb_twice() {
-    let f: Vec<Finding> = checks::run_all(&proto_files(PROTO_README, PROTO_CORPUS))
-        .into_iter()
-        .filter(|f| f.check == checks::IC_PROTO)
-        .collect();
-    // PING is dispatched but neither documented nor fuzzed; the nested
-    // "FAST" arm must not be mistaken for a verb
-    assert_eq!(f.len(), 2, "{f:?}");
-    assert!(f.iter().all(|x| x.message.contains("PING")), "{f:?}");
-    assert!(f.iter().any(|x| x.message.contains("README")), "{f:?}");
-    assert!(f.iter().any(|x| x.message.contains("robustness")), "{f:?}");
-}
-
-#[test]
-fn proto_near_miss_full_coverage_is_silent() {
-    // add the missing row + corpus line: the same dispatcher goes clean
-    let readme = format!("{PROTO_README}| `PING` | liveness probe |\n");
-    let corpus = format!("{PROTO_CORPUS}const MORE: &str = \"PING\";\n");
-    let f: Vec<Finding> = checks::run_all(&proto_files(&readme, &corpus))
-        .into_iter()
-        .filter(|f| f.check == checks::IC_PROTO)
-        .collect();
     assert!(f.is_empty(), "{f:?}");
 }
 

@@ -34,6 +34,7 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::{Duration, Instant};
 
 use ic_obs::Histogram;
+use ic_service::protocol::Verb;
 
 use crate::report::{ClassReport, LoadReport};
 use crate::trace::{LoadClass, Trace};
@@ -111,14 +112,15 @@ struct Conn {
     writer: BufWriter<TcpStream>,
 }
 
-/// Verbs whose `OK` replies span multiple lines terminated by `END`
-/// (`ERR` replies are always a single line).
+/// Whether the request's `OK` reply spans multiple lines terminated by
+/// `END`, per the protocol's verb list (`ERR` replies are always a
+/// single line).
 fn reply_is_multiline(request: &str) -> bool {
-    let verb = request.split_whitespace().next().unwrap_or("");
-    matches!(
-        verb.to_ascii_uppercase().as_str(),
-        "QUERY" | "BATCH" | "GRAPHS" | "STATS" | "METRICS" | "NEXT" | "SLOWLOG"
-    )
+    request
+        .split_whitespace()
+        .next()
+        .and_then(Verb::parse)
+        .is_some_and(Verb::multiline)
 }
 
 impl Conn {

@@ -48,7 +48,7 @@
 use std::net::TcpListener;
 use std::process::ExitCode;
 
-use ic_service::protocol::HELP;
+use ic_service::protocol::help;
 use ic_service::{serve_metrics, serve_with, ServerOptions, Service, ServiceConfig};
 
 fn main() -> ExitCode {
@@ -94,7 +94,8 @@ fn main() -> ExitCode {
                     "usage: serve [addr] [--workers N] [--cache N] [--data-dir DIR] \
                      [--metrics-addr ADDR] [--slowlog-ms MS] [--idle-timeout SECS] \
                      [--preload]\n\
-                     protocol: {HELP}"
+                     protocol: {}",
+                    help()
                 );
                 return ExitCode::SUCCESS;
             }
@@ -166,8 +167,9 @@ fn main() -> ExitCode {
         }
     };
     println!(
-        "ic-service listening on {addr} ({} search slots); {HELP}",
-        svc.worker_count()
+        "ic-service listening on {addr} ({} search slots); {}",
+        svc.worker_count(),
+        help()
     );
     if let Err(e) = serve_with(&listener, svc, options) {
         eprintln!("server failed: {e}");

@@ -1,68 +1,12 @@
 //! The line-oriented text protocol spoken by the `serve` binary.
 //!
 //! One request per line; one reply per request. Replies are a single
-//! `OK …` / `ERR …` line, except community-bearing replies (`QUERY`,
-//! `NEXT`), which follow the `OK` line with one `C` line per community
-//! and a final `END` line. Vertices are printed as the caller's external
-//! ids. The full verb set:
-//!
-//! ```text
-//! LOAD <name> <path>                     register a graph file (ICG1 or text)
-//! LOADX <name> <path.icsr> [budget]      register a file-backed `.icsr` store
-//!                                        (vertex data resident under the
-//!                                        optional byte budget, edges on disk;
-//!                                        queries dispatch to the
-//!                                        semi-external executors)
-//! SAVE <name> <path>                     write a memory-resident graph as a
-//!                                        `.icsr` file for LOADX
-//! GEN <name> gnm <n> <m> <seed>          register synthetic G(n,m)
-//! GEN <name> ba <n> <d> <seed>           register synthetic Barabási–Albert
-//! GEN <name> rmat <scale> <ef> <seed>    register synthetic R-MAT
-//! GRAPHS                                 list registered graphs
-//! QUERY <graph> <gamma> <k> [mode]       top-k (mode: auto, local_search,
-//!                                        progressive, forward, online_all,
-//!                                        backward, naive, truss)
-//! EXPLAIN ANALYZE <graph> <gamma> <k> [mode]
-//!                                        run the query exactly as QUERY does
-//!                                        and report the plan next to *measured*
-//!                                        per-stage nanoseconds (queue, plan,
-//!                                        cache, execute, serialize) and the
-//!                                        execution's I/O delta
-//! BATCH <g> <gamma> <k> [mode] ; ...     many queries in one request;
-//!                                        ';'-separated, grouped by
-//!                                        (graph, γ, family) and answered
-//!                                        with one search per group
-//! EXPLAIN <graph> <gamma> <k> [mode]     plan only, with the reason;
-//!                                        empty=true when γ exceeds the
-//!                                        graph's degeneracy and the plan
-//!                                        answers without a search
-//! UPDATE <graph> ADD <u> <v> [w]         buffer an edge insert (w creates
-//!                                        missing endpoints with that weight)
-//! UPDATE <graph> DEL <u> <v>             buffer an edge delete
-//! UPDATE <graph> ADDV <v> <w>            buffer a vertex add
-//! UPDATE <graph> DELV <v>                buffer a vertex remove
-//! UPDATE <graph> REWEIGHT <v> <w>        buffer an influence change
-//! COMMIT <graph>                         fold pending updates into a fresh
-//!                                        snapshot (bumps the generation)
-//! OPEN <graph> <gamma>                   open a progressive session
-//! NEXT <session> [n]                     pull up to n communities (default 1);
-//!                                        the reply's done=0|1 reports stream
-//!                                        exhaustion from the iterator itself
-//!                                        (an empty batch with done=0 just
-//!                                        means n was 0)
-//! CLOSE <session>                        close a session
-//! STATS                                  hit/miss/latency counters, then one
-//!                                        `S` row per registered store with
-//!                                        its cumulative I/O, then `END`
-//! METRICS                                full Prometheus text exposition
-//!                                        (same body the --metrics-addr
-//!                                        scrape endpoint serves), then `END`
-//! SLOWLOG [n]                            the n most recent slow queries
-//!                                        (default 10), newest first, one `L`
-//!                                        row each with the per-stage trace
-//! HELP                                   this listing
-//! QUIT                                   close the connection
-//! ```
+//! `OK …` / `ERR …` line, except the verbs whose [`Verb::multiline`] is
+//! set, which follow the `OK` line with rows (a `C` line per community
+//! for `QUERY` and `NEXT`) and a final `END` line. Vertices are printed
+//! as the caller's external ids. The verbs, their syntax and their help
+//! are the [`Verb`] list: [`help`], every usage error and the dispatch
+//! are rendered from it.
 //!
 //! Updates apply to a per-graph overlay and become visible to queries
 //! atomically at `COMMIT`, which re-registers the compacted snapshot
@@ -82,16 +26,130 @@ use ic_graph::GraphStore;
 use crate::error::ServiceError;
 use crate::planner::{parse_mode, Mode, Query};
 use crate::service::{QueryResponse, Service, SyntheticSpec};
+use crate::stats::write_stats_line;
 
-/// Help text returned by `HELP` (and useful as a banner).
-pub const HELP: &str = "commands: LOAD <name> <path> | LOADX <name> <path.icsr> [budget] | \
-SAVE <name> <path> | GEN <name> gnm|ba|rmat <args> <seed> | \
-GRAPHS | QUERY <graph> <gamma> <k> [mode] | \
-BATCH <graph> <gamma> <k> [mode] ; <graph> <gamma> <k> [mode] ; ... | \
-EXPLAIN <graph> <gamma> <k> [mode] | EXPLAIN ANALYZE <graph> <gamma> <k> [mode] | \
-UPDATE <graph> ADD|DEL <u> <v> [w] | UPDATE <graph> ADDV|DELV|REWEIGHT <v> [w] | \
-COMMIT <graph> | OPEN <graph> <gamma> | NEXT <session> [n] | CLOSE <session> | \
-STATS | METRICS | SLOWLOG [n] | HELP | QUIT";
+/// Declares [`Verb`]. Each row is `Variant "NAME" "syntax" [multiline];`
+/// under its one-line help; alternative forms of a syntax are separated
+/// by ` | `.
+macro_rules! verbs {
+    (@multiline) => { false };
+    (@multiline multiline) => { true };
+    ($($(#[$help:meta])* $variant:ident $name:literal $syntax:literal $($multiline:ident)?;)+) => {
+        /// The protocol's verbs. A new verb is one row of the `verbs!`
+        /// list in `protocol.rs`, its arm in `dispatch` (the match is
+        /// exhaustive, so the compiler asks for it) and a README
+        /// protocol-table row (a test checks it).
+        #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+        pub enum Verb {
+            $(
+                #[doc = concat!("`", $name, " ", $syntax, "`")]
+                #[doc = ""]
+                $(#[$help])*
+                $variant,
+            )+
+        }
+
+        impl Verb {
+            /// Every verb, in `HELP` order.
+            pub const ALL: [Verb; [$(Verb::$variant),+].len()] = [$(Verb::$variant),+];
+
+            /// The request token, upper case (requests match it in any case).
+            pub fn name(self) -> &'static str {
+                match self {
+                    $(Verb::$variant => $name,)+
+                }
+            }
+
+            /// The arguments after the name; alternative forms are
+            /// separated by ` | `.
+            pub fn syntax(self) -> &'static str {
+                match self {
+                    $(Verb::$variant => $syntax,)+
+                }
+            }
+
+            /// Whether an `OK` reply runs over several lines, up to `END`.
+            pub fn multiline(self) -> bool {
+                match self {
+                    $(Verb::$variant => verbs!(@multiline $($multiline)?),)+
+                }
+            }
+        }
+    };
+}
+
+verbs! {
+    /// Register a graph file (binary `ICG1` or `v`/`e` text).
+    Load "LOAD" "<name> <path>";
+    /// Register a file-backed `.icsr` store: vertex data resident under
+    /// the optional byte budget, edges on disk, queries dispatched to the
+    /// semi-external executors.
+    LoadX "LOADX" "<name> <path.icsr> [budget]";
+    /// Write a memory-resident graph as a `.icsr` file for `LOADX`.
+    Save "SAVE" "<name> <path>";
+    /// Register a synthetic G(n,m), Barabási–Albert or R-MAT graph.
+    Gen "GEN" "<name> gnm|ba|rmat <a> <b> <seed>";
+    /// List registered graphs, one `G` row each.
+    Graphs "GRAPHS" "" multiline;
+    /// Top-k (mode: `auto` or any algorithm name).
+    Query "QUERY" "<graph> <gamma> <k> [mode]" multiline;
+    /// Many queries in one request, grouped by (graph, γ, family) and
+    /// answered with one search per group, one `R <i>` slot each.
+    Batch "BATCH" "<graph> <gamma> <k> [mode] [; <graph> <gamma> <k> [mode]]..." multiline;
+    /// The plan and its reason (`empty=true` when γ exceeds the graph's
+    /// degeneracy); `ANALYZE` runs the query as `QUERY` does and adds the
+    /// measured per-stage nanoseconds and the I/O delta.
+    Explain "EXPLAIN" "<graph> <gamma> <k> [mode] | ANALYZE <graph> <gamma> <k> [mode]";
+    /// Buffer an edge insert (`w` creates missing endpoints with that
+    /// weight), an edge delete, a vertex add or remove, or an influence
+    /// change.
+    Update "UPDATE" "<graph> ADD <u> <v> [w] | <graph> DEL <u> <v> | <graph> ADDV <v> <w> | \
+        <graph> DELV <v> | <graph> REWEIGHT <v> <w>";
+    /// Fold pending updates into a fresh snapshot (bumps the generation).
+    Commit "COMMIT" "<graph>";
+    /// Open a progressive session.
+    Open "OPEN" "<graph> <gamma>";
+    /// Pull up to n communities (default 1); `done=0|1` reports stream
+    /// exhaustion from the iterator itself.
+    Next "NEXT" "<session> [n]" multiline;
+    /// Close a session.
+    Close "CLOSE" "<session>";
+    /// The counter line, then one `S` row per registered store with its
+    /// cumulative I/O.
+    Stats "STATS" "" multiline;
+    /// The Prometheus text exposition the `--metrics-addr` endpoint serves.
+    Metrics "METRICS" "" multiline;
+    /// The n most recent slow queries (default 10), newest first, one `L`
+    /// row each with the per-stage trace.
+    Slowlog "SLOWLOG" "[n]" multiline;
+    /// This listing.
+    Help "HELP" "";
+    /// Close the connection.
+    Quit "QUIT" "";
+}
+
+impl Verb {
+    /// The verb a request token names, in any case.
+    pub fn parse(token: &str) -> Option<Verb> {
+        Verb::ALL
+            .into_iter()
+            .find(|v| v.name().eq_ignore_ascii_case(token))
+    }
+
+    /// `<NAME> <form>` for each of the syntax's alternative forms.
+    fn forms(self) -> impl Iterator<Item = String> {
+        self.syntax()
+            .split(" | ")
+            .map(move |form| with_name(self, form))
+    }
+}
+
+/// The `HELP` listing (the connection banner repeats it): every form of
+/// every verb.
+pub fn help() -> String {
+    let forms: Vec<String> = Verb::ALL.into_iter().flat_map(Verb::forms).collect();
+    format!("commands: {}", forms.join(" | "))
+}
 
 /// Hard cap on sub-queries in one `BATCH` line. A request line is
 /// already size-capped by the server; this bounds the *work* one line
@@ -119,12 +177,18 @@ fn dispatch(svc: &Arc<Service>, line: &str) -> Result<String, ServiceError> {
     let Some(verb_token) = parts.next() else {
         return Ok(String::new());
     };
-    let verb = verb_token.to_ascii_uppercase();
+    let Some(verb) = Verb::parse(verb_token) else {
+        return Err(ServiceError::InvalidQuery(format!(
+            "unknown command {:?} (try HELP)",
+            verb_token.to_ascii_uppercase()
+        )));
+    };
     let args: Vec<&str> = parts.collect();
-    match verb.as_str() {
-        "HELP" => Ok(format!("OK {HELP}")),
-        "LOAD" => {
-            let [name, path] = expect_args::<2>(&verb, &args)?;
+    let malformed = || usage(verb, verb.syntax());
+    match verb {
+        Verb::Help => Ok(format!("OK {}", help())),
+        Verb::Load => {
+            let [name, path] = exactly(&args).ok_or_else(malformed)?;
             let entry = svc.load_path(name, path)?;
             Ok(graph_line(
                 &entry.name,
@@ -133,11 +197,11 @@ fn dispatch(svc: &Arc<Service>, line: &str) -> Result<String, ServiceError> {
                 entry.stats.gamma_max,
             ))
         }
-        "LOADX" => {
+        Verb::LoadX => {
             let (name, path, budget) = match *args.as_slice() {
                 [name, path] => (name, path, None),
                 [name, path, b] => (name, path, Some(parse_num::<u64>("budget_bytes", b)?)),
-                _ => return Err(usage(&verb, "LOADX <name> <path.icsr> [budget_bytes]")),
+                _ => return Err(malformed()),
             };
             let entry = svc.register_file(name, path, budget)?;
             Ok(format!(
@@ -149,13 +213,13 @@ fn dispatch(svc: &Arc<Service>, line: &str) -> Result<String, ServiceError> {
                 entry.storage(),
             ))
         }
-        "SAVE" => {
-            let [name, path] = expect_args::<2>(&verb, &args)?;
+        Verb::Save => {
+            let [name, path] = exactly(&args).ok_or_else(malformed)?;
             svc.save_store(name, path)?;
             Ok(format!("OK saved={name} path={path}"))
         }
-        "GEN" => {
-            let [name, kind, a, b, seed] = expect_args::<5>(&verb, &args)?;
+        Verb::Gen => {
+            let [name, kind, a, b, seed] = exactly(&args).ok_or_else(malformed)?;
             let seed = parse_num::<u64>("seed", seed)?;
             let spec = match kind.to_ascii_lowercase().as_str() {
                 "gnm" => SyntheticSpec::Gnm {
@@ -187,7 +251,7 @@ fn dispatch(svc: &Arc<Service>, line: &str) -> Result<String, ServiceError> {
                 entry.stats.gamma_max,
             ))
         }
-        "GRAPHS" => {
+        Verb::Graphs => {
             let graphs = svc.graphs();
             let mut out = format!("OK count={}", graphs.len());
             for g in graphs {
@@ -199,25 +263,24 @@ fn dispatch(svc: &Arc<Service>, line: &str) -> Result<String, ServiceError> {
             out.push_str("\nEND");
             Ok(out)
         }
-        "QUERY" => {
-            let query = parse_query(&verb, &args)?;
+        Verb::Query => {
+            let query = parse_query(&args, malformed)?;
             let resp = svc.query(query)?;
             Ok(format_query_response(&resp))
         }
         // the raw tail (not the token list): sub-queries separate on ';'
         // however the client spaces them
-        "BATCH" => handle_batch(svc, &line[verb_token.len()..]),
-        "EXPLAIN" => {
+        Verb::Batch => handle_batch(svc, &line[verb_token.len()..]),
+        Verb::Explain => {
             // `EXPLAIN ANALYZE …` runs the query and reports measured
             // stage timings next to the plan; plain `EXPLAIN` stays
             // plan-only.
-            if args
-                .first()
-                .is_some_and(|a| a.eq_ignore_ascii_case("ANALYZE"))
-            {
-                return handle_explain_analyze(svc, args.get(1..).unwrap_or_default());
+            if let [analyze, rest @ ..] = args.as_slice() {
+                if analyze.eq_ignore_ascii_case("ANALYZE") {
+                    return handle_explain_analyze(svc, rest);
+                }
             }
-            let query = parse_query(&verb, &args)?;
+            let query = parse_query(&args, malformed)?;
             let e = svc.explain(&query)?;
             Ok(format!(
                 "OK algo={} forced={} n={} m={} gamma_max={} storage={} \
@@ -233,16 +296,16 @@ fn dispatch(svc: &Arc<Service>, line: &str) -> Result<String, ServiceError> {
                 e.reason
             ))
         }
-        "UPDATE" => {
-            let (graph, op) = parse_update(&verb, &args)?;
+        Verb::Update => {
+            let (graph, op) = parse_update(&args)?;
             let st = svc.update(graph, op)?;
             Ok(format!(
                 "OK graph={} pending={} n={} m={}",
                 graph, st.pending, st.n, st.m
             ))
         }
-        "COMMIT" => {
-            let [name] = expect_args::<1>(&verb, &args)?;
+        Verb::Commit => {
+            let [name] = exactly(&args).ok_or_else(malformed)?;
             let (entry, receipt) = svc.commit_updates(name)?;
             Ok(format!(
                 "OK graph={} generation={} ops={} cores_visited={} n={} m={} gamma_max={}",
@@ -255,17 +318,17 @@ fn dispatch(svc: &Arc<Service>, line: &str) -> Result<String, ServiceError> {
                 entry.stats.gamma_max
             ))
         }
-        "OPEN" => {
-            let [graph, gamma] = expect_args::<2>(&verb, &args)?;
+        Verb::Open => {
+            let [graph, gamma] = exactly(&args).ok_or_else(malformed)?;
             let gamma = parse_num::<u32>("gamma", gamma)?;
             let id = svc.open_session(graph, gamma)?;
             Ok(format!("OK session={id}"))
         }
-        "NEXT" => {
+        Verb::Next => {
             let (id_token, n_token) = match *args.as_slice() {
                 [id] => (id, None),
                 [id, n] => (id, Some(n)),
-                _ => return Err(usage(&verb, "NEXT <session> [n]")),
+                _ => return Err(malformed()),
             };
             let id = parse_num::<u64>("session", id_token)?;
             let n = match n_token {
@@ -287,45 +350,15 @@ fn dispatch(svc: &Arc<Service>, line: &str) -> Result<String, ServiceError> {
             out.push_str("\nEND");
             Ok(out)
         }
-        "CLOSE" => {
-            let [id] = expect_args::<1>(&verb, &args)?;
+        Verb::Close => {
+            let [id] = exactly(&args).ok_or_else(malformed)?;
             let id = parse_num::<u64>("session", id)?;
             svc.close_session(id)?;
             Ok(format!("OK closed={id}"))
         }
-        "STATS" => {
-            let s = svc.stats();
-            let mut out = format!(
-                "OK queries={} hits={} misses={} empty_plans={} coalesced={} \
-                 prefix_served={} batches={} worker_panics={} hit_rate={:.4}",
-                s.queries,
-                s.cache_hits,
-                s.cache_misses,
-                s.empty_plans,
-                s.coalesced,
-                s.prefix_served,
-                s.batches,
-                s.worker_panics,
-                s.hit_rate(),
-            );
-            // one execution counter per algorithm, in Algorithm::ALL order
-            for algo in crate::planner::Algorithm::ALL {
-                out.push_str(&format!(" {}={}", algo.name(), s.executions(algo)));
-            }
-            out.push_str(&format!(
-                " mean_latency_micros={} sessions_opened={} sessions_closed={} \
-                 streamed={} graphs={} cached_entries={} accept_errors={} \
-                 write_errors={} live_connections={}",
-                s.mean_latency().as_micros(),
-                s.sessions_opened,
-                s.sessions_closed,
-                s.communities_streamed,
-                svc.graphs().len(),
-                svc.cache_len(),
-                s.accept_errors,
-                s.write_errors,
-                svc.metrics().live_connections(),
-            ));
+        Verb::Stats => {
+            let mut out = String::from("OK");
+            write_stats_line(&svc.stats(), &mut out);
             // one `S` row per registered store with its cumulative I/O
             for (name, kind, io) in svc.store_io() {
                 out.push_str(&format!(
@@ -336,20 +369,18 @@ fn dispatch(svc: &Arc<Service>, line: &str) -> Result<String, ServiceError> {
             out.push_str("\nEND");
             Ok(out)
         }
-        "METRICS" => {
+        Verb::Metrics => {
             if !args.is_empty() {
-                return Err(usage(&verb, "METRICS"));
+                return Err(malformed());
             }
             // the exposition body is already newline-terminated
             Ok(format!("OK metrics\n{}END", svc.metrics_text()))
         }
-        "SLOWLOG" => {
-            if args.len() > 1 {
-                return Err(usage(&verb, "SLOWLOG [n]"));
-            }
-            let n = match args.first() {
-                Some(s) => parse_num::<usize>("n", s)?,
-                None => 10,
+        Verb::Slowlog => {
+            let n = match *args.as_slice() {
+                [] => 10,
+                [n] => parse_num::<usize>("n", n)?,
+                _ => return Err(malformed()),
             };
             let entries = svc.slowlog(n);
             let mut out = format!(
@@ -376,10 +407,7 @@ fn dispatch(svc: &Arc<Service>, line: &str) -> Result<String, ServiceError> {
             out.push_str("\nEND");
             Ok(out)
         }
-        "QUIT" => Ok("OK bye".to_string()),
-        other => Err(ServiceError::InvalidQuery(format!(
-            "unknown command {other:?} (try HELP)"
-        ))),
+        Verb::Quit => Ok("OK bye".to_string()),
     }
 }
 
@@ -390,9 +418,9 @@ fn dispatch(svc: &Arc<Service>, line: &str) -> Result<String, ServiceError> {
 /// fail only their own `R <i> ERR …` slot, exactly as the same query
 /// issued individually would have.
 fn handle_batch(svc: &Arc<Service>, tail: &str) -> Result<String, ServiceError> {
-    const USAGE: &str = "<graph> <gamma> <k> [mode] [; <graph> <gamma> <k> [mode]]...";
+    let malformed = || usage(Verb::Batch, Verb::Batch.syntax());
     if tail.trim().is_empty() {
-        return Err(usage("BATCH", USAGE));
+        return Err(malformed());
     }
     let segments: Vec<&str> = tail.split(';').map(str::trim).collect();
     if segments.len() > MAX_BATCH {
@@ -405,11 +433,12 @@ fn handle_batch(svc: &Arc<Service>, tail: &str) -> Result<String, ServiceError> 
     for segment in segments {
         if segment.is_empty() {
             return Err(ServiceError::InvalidQuery(format!(
-                "BATCH: empty sub-query (usage: BATCH {USAGE})"
+                "BATCH: empty sub-query (usage: BATCH {})",
+                Verb::Batch.syntax()
             )));
         }
         let tokens: Vec<&str> = segment.split_ascii_whitespace().collect();
-        queries.push(parse_query("BATCH", &tokens)?);
+        queries.push(parse_query(&tokens, malformed)?);
     }
     let results = svc.query_batch(&queries);
     let mut out = format!("OK batch={}", results.len());
@@ -439,7 +468,9 @@ fn handle_batch(svc: &Arc<Service>, tail: &str) -> Result<String, ServiceError> 
 /// client can see where the latency went; `reason` stays last because
 /// its value contains spaces.
 fn handle_explain_analyze(svc: &Arc<Service>, args: &[&str]) -> Result<String, ServiceError> {
-    let query = parse_query("EXPLAIN ANALYZE", args)?;
+    let query = parse_query(args, || {
+        usage(Verb::Explain, form(Verb::Explain, "ANALYZE"))
+    })?;
     let (resp, trace) = svc.query_traced(query)?;
     let e = &resp.explain;
     Ok(format!(
@@ -474,11 +505,15 @@ fn stage_fields(trace: &ic_obs::QueryTrace) -> String {
     out
 }
 
-fn parse_query(verb: &str, args: &[&str]) -> Result<Query, ServiceError> {
+/// `<graph> <gamma> <k> [mode]`; a wrong argument count is `malformed()`.
+fn parse_query(
+    args: &[&str],
+    malformed: impl FnOnce() -> ServiceError,
+) -> Result<Query, ServiceError> {
     let (graph, gamma, k, mode_token) = match *args {
         [graph, gamma, k] => (graph, gamma, k, None),
         [graph, gamma, k, mode] => (graph, gamma, k, Some(mode)),
-        _ => return Err(usage(verb, "<graph> <gamma> <k> [mode]")),
+        _ => return Err(malformed()),
     };
     let mode = match mode_token {
         Some(s) => parse_mode(s)?,
@@ -492,22 +527,22 @@ fn parse_query(verb: &str, args: &[&str]) -> Result<Query, ServiceError> {
     })
 }
 
-/// Parses the argument tail of an `UPDATE` line:
-/// `<graph> ADD|DEL <u> <v> [w]` or `<graph> ADDV|DELV|REWEIGHT <v> [w]`.
+/// Parses the argument tail of an `UPDATE` line, one of
+/// [`Verb::Update`]'s forms; a malformed action names its own form.
 /// Returns the graph name alongside the op so the caller never indexes
 /// back into the raw argument list.
-fn parse_update<'a>(verb: &str, args: &[&'a str]) -> Result<(&'a str, UpdateOp), ServiceError> {
-    const USAGE: &str = "<graph> ADD|DEL <u> <v> [w], or <graph> ADDV|DELV|REWEIGHT <v> [w]";
+fn parse_update<'a>(args: &[&'a str]) -> Result<(&'a str, UpdateOp), ServiceError> {
     let [graph, action_token, rest @ ..] = args else {
-        return Err(usage(verb, USAGE));
+        return Err(usage(Verb::Update, Verb::Update.syntax()));
     };
     let action = action_token.to_ascii_uppercase();
+    let malformed = || usage(Verb::Update, form(Verb::Update, &action));
     let op = match action.as_str() {
         "ADD" => {
             let (u, v, w) = match *rest {
                 [u, v] => (u, v, None),
                 [u, v, w] => (u, v, Some(w)),
-                _ => return Err(usage(verb, "<graph> ADD <u> <v> [w]")),
+                _ => return Err(malformed()),
             };
             UpdateOp::InsertEdge {
                 u: parse_num("u", u)?,
@@ -519,27 +554,27 @@ fn parse_update<'a>(verb: &str, args: &[&'a str]) -> Result<(&'a str, UpdateOp),
             }
         }
         "DEL" => {
-            let [u, v] = expect_args::<2>(verb, rest)?;
+            let [u, v] = exactly(rest).ok_or_else(malformed)?;
             UpdateOp::DeleteEdge {
                 u: parse_num("u", u)?,
                 v: parse_num("v", v)?,
             }
         }
         "ADDV" => {
-            let [v, w] = expect_args::<2>(verb, rest)?;
+            let [v, w] = exactly(rest).ok_or_else(malformed)?;
             UpdateOp::AddVertex {
                 v: parse_num("v", v)?,
                 weight: parse_num("w", w)?,
             }
         }
         "DELV" => {
-            let [v] = expect_args::<1>(verb, rest)?;
+            let [v] = exactly(rest).ok_or_else(malformed)?;
             UpdateOp::RemoveVertex {
                 v: parse_num("v", v)?,
             }
         }
         "REWEIGHT" => {
-            let [v, w] = expect_args::<2>(verb, rest)?;
+            let [v, w] = exactly(rest).ok_or_else(malformed)?;
             UpdateOp::Reweight {
                 v: parse_num("v", v)?,
                 weight: parse_num("w", w)?,
@@ -592,16 +627,32 @@ fn graph_line(name: &str, n: usize, m: usize, gamma_max: u32) -> String {
     format!("OK graph={name} n={n} m={m} gamma_max={gamma_max}")
 }
 
-fn expect_args<'a, const N: usize>(
-    verb: &str,
-    args: &[&'a str],
-) -> Result<[&'a str; N], ServiceError> {
-    <[&str; N]>::try_from(args.to_vec())
-        .map_err(|_| usage(verb, &format!("expected {N} argument(s)")))
+/// The arguments, when there are exactly `N` of them.
+fn exactly<'a, const N: usize>(args: &[&'a str]) -> Option<[&'a str; N]> {
+    args.try_into().ok()
 }
 
-fn usage(verb: &str, usage: &str) -> ServiceError {
-    ServiceError::InvalidQuery(format!("{verb}: usage {verb} {usage}"))
+/// `<VERB>: usage <VERB> <form>`: the reply to a malformed request.
+fn usage(verb: Verb, form: &str) -> ServiceError {
+    ServiceError::InvalidQuery(format!("{}: usage {}", verb.name(), with_name(verb, form)))
+}
+
+/// The one form of `verb`'s syntax that names `keyword` (an `UPDATE`
+/// action, `EXPLAIN`'s `ANALYZE`), or the whole syntax.
+fn form(verb: Verb, keyword: &str) -> &'static str {
+    verb.syntax()
+        .split(" | ")
+        .find(|form| form.split_ascii_whitespace().any(|t| t == keyword))
+        .unwrap_or(verb.syntax())
+}
+
+/// `<NAME> <form>`, or the bare name for a form without arguments.
+fn with_name(verb: Verb, form: &str) -> String {
+    if form.is_empty() {
+        verb.name().to_string()
+    } else {
+        format!("{} {form}", verb.name())
+    }
 }
 
 fn parse_num<T: std::str::FromStr>(field: &str, s: &str) -> Result<T, ServiceError> {

@@ -27,7 +27,7 @@ use std::net::{TcpListener, TcpStream};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-use crate::protocol::{handle_line, HELP};
+use crate::protocol::{handle_line, help};
 use crate::service::Service;
 
 /// Hard cap on one request line. A well-formed request is tens of bytes;
@@ -244,7 +244,7 @@ pub fn handle_connection_with(
     stream.set_nodelay(true)?;
     let mut reader = BufReader::new(stream.try_clone()?);
     let mut writer = stream;
-    if !send_line(&mut writer, svc, format!("OK ic-service ready; {HELP}")) {
+    if !send_line(&mut writer, svc, format!("OK ic-service ready; {}", help())) {
         return Ok(());
     }
     let mut buf: Vec<u8> = Vec::new();

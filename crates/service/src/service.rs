@@ -48,7 +48,7 @@ use crate::persist::Persistence;
 use crate::planner::{plan_stored, Explain, Mode, Query};
 use crate::registry::{GraphRegistry, RegisteredGraph};
 use crate::session::Session;
-use crate::stats::{ServiceStats, StatsRecorder};
+use crate::stats::{write_metrics, ServiceStats, StatsRecorder};
 use crate::sync::{lock_or_poison, read_or_poison, write_or_poison};
 
 /// Sizing knobs for a [`Service`].
@@ -233,7 +233,7 @@ impl Service {
             registry: GraphRegistry::new(),
             cache: ResultCache::new(config.cache_capacity, config.cache_shards),
             inflight: InflightTable::new(),
-            stats: StatsRecorder::new(),
+            stats: StatsRecorder::default(),
             metrics: ServiceMetrics::new(
                 config.slowlog_capacity,
                 config.slowlog_threshold.as_nanos() as u64,
@@ -870,12 +870,23 @@ impl Service {
 
     // ----- introspection -----------------------------------------------
 
-    /// A point-in-time snapshot of the hit/miss/latency counters, with
-    /// the search gate's panic count folded in.
+    /// A point-in-time snapshot of every counter and gauge: the
+    /// recorder's, with the values owned by the search gate, the
+    /// connection gauges, the cache, the registry and the slow-query
+    /// ring copied in.
     pub fn stats(&self) -> ServiceStats {
-        let mut stats = self.stats.snapshot();
-        stats.worker_panics = self.gate.panics();
-        stats
+        ServiceStats {
+            worker_panics: self.gate.panics(),
+            search_slots: self.gate.slots() as u64,
+            queue_depth: self.gate.queue_depth(),
+            busy_ns: self.gate.busy_ns(),
+            graphs: self.registry.len() as u64,
+            cached_entries: self.cache.len() as u64,
+            live_connections: self.metrics.live_connections(),
+            connections_total: self.metrics.connections_total(),
+            slow_queries: self.metrics.slow_total(),
+            ..self.stats.snapshot()
+        }
     }
 
     /// Counts one transient accept-loop failure the TCP front-end
@@ -935,135 +946,13 @@ impl Service {
     }
 
     /// The full Prometheus text-exposition body (`METRICS` verb and the
-    /// `--metrics-addr` scrape listener). Counters come from the same
-    /// recorders `STATS` reads; histograms are the per-class /
-    /// per-backend latency distributions with quantile gauges extracted
-    /// at render time.
+    /// `--metrics-addr` scrape listener). The counters and gauges are the
+    /// rows of the list `STATS` renders too; the rest are the per-store
+    /// I/O, the WAL counters and the per-class / per-backend latency
+    /// distributions with quantile gauges extracted at render time.
     pub fn metrics_text(&self) -> String {
-        let stats = self.stats();
         let mut p = ic_obs::PromText::new();
-
-        p.header("ic_queries_total", "Queries answered.", "counter");
-        p.sample("ic_queries_total", &[], stats.queries);
-        p.header("ic_cache_hits_total", "Exact result-cache hits.", "counter");
-        p.sample("ic_cache_hits_total", &[], stats.cache_hits);
-        p.header("ic_cache_misses_total", "Result-cache misses.", "counter");
-        p.sample("ic_cache_misses_total", &[], stats.cache_misses);
-        p.header(
-            "ic_empty_plans_total",
-            "Queries planned empty (gamma above the degeneracy) without a search.",
-            "counter",
-        );
-        p.sample("ic_empty_plans_total", &[], stats.empty_plans);
-        p.header(
-            "ic_prefix_served_total",
-            "Queries served by slicing a larger-k cached answer.",
-            "counter",
-        );
-        p.sample("ic_prefix_served_total", &[], stats.prefix_served);
-        p.header(
-            "ic_coalesced_total",
-            "Queries coalesced onto an identical in-flight execution.",
-            "counter",
-        );
-        p.sample("ic_coalesced_total", &[], stats.coalesced);
-        p.header("ic_batches_total", "Batch requests.", "counter");
-        p.sample("ic_batches_total", &[], stats.batches);
-        p.header(
-            "ic_sessions_opened_total",
-            "Progressive sessions opened.",
-            "counter",
-        );
-        p.sample("ic_sessions_opened_total", &[], stats.sessions_opened);
-        p.header(
-            "ic_sessions_closed_total",
-            "Progressive sessions closed.",
-            "counter",
-        );
-        p.sample("ic_sessions_closed_total", &[], stats.sessions_closed);
-        p.header(
-            "ic_communities_streamed_total",
-            "Communities streamed by sessions.",
-            "counter",
-        );
-        p.sample(
-            "ic_communities_streamed_total",
-            &[],
-            stats.communities_streamed,
-        );
-        p.header(
-            "ic_worker_panics_total",
-            "Searches that panicked (caught; their slots were released).",
-            "counter",
-        );
-        p.sample("ic_worker_panics_total", &[], stats.worker_panics);
-        p.header(
-            "ic_accept_errors_total",
-            "Transient accept-loop failures the server survived.",
-            "counter",
-        );
-        p.sample("ic_accept_errors_total", &[], stats.accept_errors);
-        p.header(
-            "ic_write_errors_total",
-            "Client-socket writes that failed; each closed its connection.",
-            "counter",
-        );
-        p.sample("ic_write_errors_total", &[], stats.write_errors);
-        p.header(
-            "ic_connections_total",
-            "Protocol connections accepted.",
-            "counter",
-        );
-        p.sample(
-            "ic_connections_total",
-            &[],
-            self.metrics.connections_total(),
-        );
-        p.header(
-            "ic_live_connections",
-            "Protocol connections currently being served.",
-            "gauge",
-        );
-        p.sample("ic_live_connections", &[], self.metrics.live_connections());
-
-        p.header(
-            "ic_executions_total",
-            "Algorithm executions by planner choice.",
-            "counter",
-        );
-        for algo in crate::planner::Algorithm::ALL {
-            p.sample(
-                "ic_executions_total",
-                &[("algorithm", algo.name())],
-                stats.executions(algo),
-            );
-        }
-
-        p.header("ic_pool_workers", "Search slots.", "gauge");
-        p.sample("ic_pool_workers", &[], self.gate.slots() as u64);
-        p.header(
-            "ic_pool_queue_depth",
-            "Searches waiting for a slot.",
-            "gauge",
-        );
-        p.sample("ic_pool_queue_depth", &[], self.gate.queue_depth());
-        p.header(
-            "ic_pool_busy_ns_total",
-            "Cumulative nanoseconds searches spent in their slots.",
-            "counter",
-        );
-        p.sample("ic_pool_busy_ns_total", &[], self.gate.busy_ns());
-
-        p.header("ic_cache_entries", "Result-cache entries.", "gauge");
-        p.sample("ic_cache_entries", &[], self.cache.len() as u64);
-        p.header("ic_graphs", "Registered graphs.", "gauge");
-        p.sample("ic_graphs", &[], self.registry.list().len() as u64);
-        p.header(
-            "ic_slow_queries_total",
-            "Queries that crossed the slowlog threshold.",
-            "counter",
-        );
-        p.sample("ic_slow_queries_total", &[], self.metrics.slow_total());
+        write_metrics(&self.stats(), &mut p);
 
         p.header(
             "ic_store_io_bytes_total",
@@ -1162,11 +1051,6 @@ impl Service {
             );
         }
         p.finish()
-    }
-
-    /// Number of entries currently cached.
-    pub fn cache_len(&self) -> usize {
-        self.cache.len()
     }
 
     /// Empties the result cache (all graphs). Used by operators after
@@ -1509,7 +1393,7 @@ mod tests {
         assert_eq!(resp.explain.algorithm, Algorithm::Forward);
         assert!(!resp.cached && !resp.coalesced);
         assert_eq!(resp.search_stats, Some(SearchStats::default()));
-        assert_eq!(svc.cache_len(), 0, "an empty plan is not cached");
+        assert_eq!(svc.stats().cached_entries, 0, "an empty plan is not cached");
         let explain = handle_line(&svc, &format!("EXPLAIN g {above} 5"));
         assert!(explain.contains(" empty=true reason="), "{explain}");
         assert!(explain.contains("degeneracy"), "{explain}");

@@ -12,7 +12,7 @@ use influential_communities::graph::paper::figure3;
 use influential_communities::graph::Pcg32;
 use influential_communities::prelude::{AlgorithmId, Selection, TopKQuery};
 use influential_communities::search::local_search::CountStrategy;
-use influential_communities::service::protocol::handle_line;
+use influential_communities::service::protocol::{handle_line, Verb};
 use influential_communities::service::{Query, Service, ServiceConfig};
 
 fn svc() -> Arc<Service> {
@@ -178,10 +178,12 @@ fn oversized_inputs_do_not_panic_or_allocate_absurdly() {
 #[test]
 fn seeded_token_fuzzing_never_panics() {
     let svc = svc();
-    let verbs = [
-        "LOAD", "LOADX", "SAVE", "GEN", "GRAPHS", "QUERY", "BATCH", "EXPLAIN", "UPDATE", "COMMIT",
-        "OPEN", "NEXT", "CLOSE", "STATS", "HELP", "QUIT", "update", "Commit", "batch", "",
-    ];
+    // every verb of the list, plus odd casings and the empty token
+    let verbs: Vec<&str> = Verb::ALL
+        .iter()
+        .map(|v| v.name())
+        .chain(["update", "Commit", "batch", ""])
+        .collect();
     let tokens = [
         "fig3",
         "nope",
@@ -224,6 +226,61 @@ fn seeded_token_fuzzing_never_panics() {
             line.push_str(tokens[rng.gen_index(tokens.len())]);
         }
         feed(&svc, &line); // shape-checked inside; must not panic
+    }
+}
+
+/// A malformed request is answered with the verb's syntax from the verb
+/// list, naming the verb once; a malformed `UPDATE` action names its own
+/// form.
+#[test]
+fn usage_errors_quote_the_verb_list() {
+    let svc = svc();
+    let usage = |name: &str, form: &str| format!("ERR invalid query: {name}: usage {name} {form}");
+    let mut bare = 0;
+    for verb in Verb::ALL {
+        let syntax = verb.syntax();
+        if syntax.is_empty() || syntax.starts_with('[') {
+            continue; // nothing required: a bare verb is a valid request
+        }
+        assert_eq!(feed(&svc, verb.name()), usage(verb.name(), syntax));
+        bare += 1;
+    }
+    assert!(bare >= 12, "verbs with required arguments: {bare}");
+    assert_eq!(
+        feed(&svc, "METRICS extra"),
+        "ERR invalid query: METRICS: usage METRICS"
+    );
+    assert_eq!(
+        feed(&svc, "SLOWLOG 1 2"),
+        usage("SLOWLOG", Verb::Slowlog.syntax())
+    );
+    for (line, form) in [
+        ("UPDATE fig3 ADD 1", "<graph> ADD <u> <v> [w]"),
+        ("UPDATE fig3 DEL 1", "<graph> DEL <u> <v>"),
+        ("UPDATE fig3 ADDV 1", "<graph> ADDV <v> <w>"),
+        ("UPDATE fig3 DELV", "<graph> DELV <v>"),
+        ("UPDATE fig3 REWEIGHT 1", "<graph> REWEIGHT <v> <w>"),
+    ] {
+        assert!(Verb::Update.syntax().contains(form), "{form}");
+        assert_eq!(feed(&svc, line), usage("UPDATE", form), "{line}");
+    }
+}
+
+/// Every verb of the list has a row in the README's protocol table.
+#[test]
+fn every_verb_has_a_readme_protocol_row() {
+    let readme = std::fs::read_to_string(concat!(env!("CARGO_MANIFEST_DIR"), "/README.md"))
+        .expect("README.md is readable");
+    for verb in Verb::ALL {
+        let cell = format!("| `{}", verb.name());
+        let documented = readme.lines().any(|l| {
+            l.strip_prefix(&cell)
+                .is_some_and(|rest| rest.starts_with([' ', '`']))
+        });
+        assert!(
+            documented,
+            "no README protocol-table row starts with {cell}"
+        );
     }
 }
 
