@@ -13,6 +13,12 @@
 //! Vertices removed by the *initial* γ-core reduction belong to no
 //! community and are **not** recorded in `cvs` (cf. Example 3.2, where
 //! `v9, v17, v18` do not appear).
+//!
+//! The engine's only per-vertex state is one degree array: a vertex is
+//! alive iff its remaining degree is at least γ. Each visit to an edge is
+//! then a neighbor-slice read and one degree update, and over a
+//! [`Prefix`], whose members' in-prefix degrees are kept as it grows, a
+//! peel is linear in the prefix's size.
 
 use ic_graph::{Prefix, Rank};
 
@@ -117,23 +123,21 @@ impl PeelConfig {
 /// Reusable peel workspace. Buffers persist across runs so repeated rounds
 /// (LocalSearch's geometric growth, LocalSearch-P's re-peels) allocate
 /// nothing after warm-up.
+///
+/// One array carries the whole peel state: `deg[r]` is `r`'s degree among
+/// the vertices not yet removed, and `r` is alive iff `deg[r] ≥ γ`. A
+/// vertex dies when its degree drops below γ, and a keynode's degree is
+/// zeroed when it is taken. Decrements saturate at 0, so a dead vertex
+/// may keep being decremented and any γ up to `u32::MAX` is safe.
 #[derive(Debug, Default)]
 pub struct PeelEngine {
     deg: Vec<u32>,
-    alive: Vec<bool>,
     queue: Vec<Rank>,
 }
 
 impl PeelEngine {
     pub fn new() -> Self {
         Self::default()
-    }
-
-    fn ensure(&mut self, n: usize) {
-        if self.deg.len() < n {
-            self.deg.resize(n, 0);
-            self.alive.resize(n, false);
-        }
     }
 
     /// Runs a full peel of `g`, writing results into `out` (cleared
@@ -148,18 +152,20 @@ impl PeelEngine {
         if t == 0 {
             return 0;
         }
-        self.ensure(t);
+        let gamma = cfg.gamma;
+        if self.deg.len() < t {
+            self.deg.resize(t, 0);
+        }
         g.fill_degrees(&mut self.deg[..t]);
-        self.alive[..t].fill(true);
 
         // Phase 1: reduce to the γ-core (removals not recorded in cvs).
         self.queue.clear();
         for r in 0..t as Rank {
-            if self.deg[r as usize] < cfg.gamma {
+            if self.deg[r as usize] < gamma {
                 self.queue.push(r);
             }
         }
-        self.cascade(g, cfg.gamma, None);
+        self.cascade(g, gamma, None);
 
         // Phase 2: keynode peel. The minimum-weight alive vertex is the
         // maximum alive rank; a downward cursor visits each rank once.
@@ -171,7 +177,7 @@ impl PeelEngine {
                     return out.keys.len();
                 }
                 cursor -= 1;
-                if self.alive[cursor] {
+                if self.deg[cursor] >= gamma {
                     break cursor as Rank;
                 }
             };
@@ -183,51 +189,43 @@ impl PeelEngine {
             out.keys.push(u);
             let group_start = out.cvs.len();
             out.group_start.push(group_start as u32);
+            self.deg[u as usize] = 0;
             self.queue.clear();
             self.queue.push(u);
-            self.cascade(g, cfg.gamma, Some(&mut out.cvs));
+            self.cascade(g, gamma, Some(&mut out.cvs));
             if cfg.track_nc {
                 // Non-containment keynode (§5.1): no vertex removed by this
                 // Remove call still touches an alive vertex.
                 let nc = out.cvs[group_start..]
                     .iter()
-                    .all(|&v| g.neighbors(v).iter().all(|&w| !self.alive[w as usize]));
+                    .all(|&v| g.neighbors(v).iter().all(|&w| self.deg[w as usize] < gamma));
                 out.nc.push(nc);
             }
         }
     }
 
     /// Procedure `Remove` of Algorithm 2 (and the analogous cascade of the
-    /// initial γ-core reduction): drains `self.queue`, removing vertices
-    /// and enqueueing neighbors whose degree drops below γ. Each removed
-    /// vertex is appended to `sink` when provided.
+    /// initial γ-core reduction): drains `self.queue`, whose vertices are
+    /// already dead, decrementing each neighbor's degree and enqueueing a
+    /// neighbor exactly when its degree drops from γ to γ − 1 (Alg. 2
+    /// L13). Each removed vertex is appended to `sink` when provided.
     fn cascade(&mut self, g: &impl PeelGraph, gamma: u32, mut sink: Option<&mut Vec<Rank>>) {
         let mut qi = 0;
         while qi < self.queue.len() {
             let v = self.queue[qi];
             qi += 1;
             for &w in g.neighbors(v) {
-                let w = w as usize;
-                if self.alive[w] {
-                    // push exactly at the γ → γ-1 transition (Alg. 2 L13)
-                    if self.deg[w] == gamma {
-                        self.queue.push(w as Rank);
-                    }
-                    self.deg[w] -= 1;
+                let d = &mut self.deg[w as usize];
+                if *d == gamma {
+                    self.queue.push(w);
                 }
+                *d = d.saturating_sub(1);
             }
-            self.alive[v as usize] = false;
             if let Some(sink) = sink.as_deref_mut() {
                 sink.push(v);
             }
         }
         self.queue.clear();
-    }
-
-    /// Read-only view of the alive flags after a peel (valid until the next
-    /// run); used by tests and by OnlineAll's component extraction.
-    pub fn alive(&self) -> &[bool] {
-        &self.alive
     }
 }
 
@@ -309,7 +307,7 @@ mod tests {
         assert!(!cvs.contains(&3));
         // suffix property: the remaining alive graph is the γ-core of G≥τ1
         let alive: Vec<u64> = (0..13)
-            .filter(|&r| engine.alive()[r])
+            .filter(|&r| engine.deg[r] >= 3)
             .map(|r| ext(&g, r as Rank))
             .collect();
         let mut sorted = alive.clone();
@@ -390,6 +388,47 @@ mod tests {
         // {v3,v11,v12,v20} are non-containment; v5's and v13's communities
         // strictly contain them.
         assert_eq!(out.nc, vec![false, false, true, true]);
+    }
+
+    #[test]
+    fn gamma_above_every_degree_finds_nothing() {
+        let g = figure3();
+        let prefix = Prefix::with_len(&g, g.n());
+        let max_degree = (0..g.n() as Rank).map(|r| g.degree(r)).max().unwrap();
+        let mut engine = PeelEngine::new();
+        let mut out = PeelOutput::default();
+        for gamma in [max_degree + 1, u32::MAX] {
+            let cfg = PeelConfig {
+                gamma,
+                stop_before: 0,
+                track_nc: true,
+            };
+            assert_eq!(engine.peel(&prefix, cfg, &mut out), 0, "gamma={gamma}");
+            assert!(out.cvs.is_empty() && out.nc.is_empty(), "gamma={gamma}");
+        }
+        // the saturated degrees leave the engine fit for the next run
+        let fresh = PeelEngine::new().peel(&prefix, PeelConfig::new(3), &mut out);
+        assert_eq!(engine.peel(&prefix, PeelConfig::new(3), &mut out), fresh);
+    }
+
+    #[test]
+    fn forced_local_queries_at_the_largest_gamma_answer_empty() {
+        use crate::query::{AlgorithmId, Selection, TopKQuery};
+        let g = figure3();
+        for (id, nc) in [
+            (AlgorithmId::LocalSearch, false),
+            (AlgorithmId::Progressive, false),
+            (AlgorithmId::LocalSearch, true),
+        ] {
+            let res = TopKQuery::new(u32::MAX)
+                .k(4)
+                .non_containment(nc)
+                .algorithm(Selection::Forced(id))
+                .run(&g)
+                .unwrap();
+            assert!(res.communities.is_empty(), "{id} nc={nc}");
+            assert_eq!(res.forest.len(), 0, "{id} nc={nc}");
+        }
     }
 
     #[test]

@@ -34,7 +34,8 @@ pub struct ProgressiveSearch<G> {
     gamma: u32,
     delta: f64,
     /// Length and size of the prefix the next round peels; the round
-    /// rebuilds its [`Prefix`] view in O(len), under its O(size) peel.
+    /// rebuilds its [`Prefix`] view, with its members' in-prefix degrees,
+    /// in O(size), under its O(size) peel.
     len: usize,
     size: u64,
     /// Length of the previous round's prefix (`stop_before` for

@@ -3,10 +3,17 @@
 //! LocalSearch never extracts `G≥τ` by threshold directly; it *grows* the
 //! current prefix vertex-by-vertex (in decreasing weight order) until the
 //! subgraph size reaches a target, paying `O(Δsize)` per extension. This
-//! type encapsulates that bookkeeping: the prefix is fully described by the
-//! number of ranks `t` it contains, and `size = t + |{edges inside}|` is
-//! maintained incrementally using the `N≥` partition (every edge is counted
-//! exactly once, at its lower-weight endpoint).
+//! type encapsulates that bookkeeping with the `N≥` partition of §3.1:
+//! appending rank `t` adds the `|N≥(t)|` edges to its higher-weight
+//! neighbors, so `size = t + |{edges inside}|` grows by `1 + |N≥(t)|`
+//! (every edge is counted exactly once, at its lower-weight endpoint).
+//!
+//! The same step keeps each member's in-prefix list length: `t` joins with
+//! `|N≥(t)|`, and each of its `N≥` neighbors gains one. Adjacency lists
+//! are sorted by rank, so a member's in-prefix neighbors are the first
+//! that many entries of its list: [`Prefix::neighbors`] is a slice,
+//! [`Prefix::degree`] a load and [`Prefix::fill_degrees`] a copy, and
+//! every peel visit to a prefix edge costs O(1).
 
 use crate::graph::{Rank, WeightedGraph};
 
@@ -14,17 +21,24 @@ use crate::graph::{Rank, WeightedGraph};
 #[derive(Debug, Clone)]
 pub struct Prefix<'g> {
     g: &'g WeightedGraph,
-    t: usize,
+    /// `in_len[r]`: how many entries of `r`'s adjacency list lie inside
+    /// the prefix (its in-prefix degree); `in_len.len()` is `t`.
+    in_len: Vec<u32>,
     size: u64,
 }
 
 impl<'g> Prefix<'g> {
     /// The empty prefix.
     pub fn new(g: &'g WeightedGraph) -> Self {
-        Prefix { g, t: 0, size: 0 }
+        Prefix {
+            g,
+            in_len: Vec::new(),
+            size: 0,
+        }
     }
 
-    /// A prefix containing the first `t` ranks.
+    /// A prefix containing the first `t` ranks. Cost: `O(size(G≥τ))` of
+    /// the resulting prefix.
     pub fn with_len(g: &'g WeightedGraph, t: usize) -> Self {
         let mut p = Prefix::new(g);
         p.extend_to_len(t);
@@ -40,13 +54,13 @@ impl<'g> Prefix<'g> {
     /// Number of vertices currently in the prefix.
     #[inline]
     pub fn len(&self) -> usize {
-        self.t
+        self.in_len.len()
     }
 
     /// True iff the prefix contains no vertices.
     #[inline]
     pub fn is_empty(&self) -> bool {
-        self.t == 0
+        self.in_len.is_empty()
     }
 
     /// `size(G≥τ) = |V| + |E|` of the current prefix.
@@ -58,67 +72,73 @@ impl<'g> Prefix<'g> {
     /// Number of edges inside the prefix.
     #[inline]
     pub fn edge_count(&self) -> u64 {
-        self.size - self.t as u64
+        self.size - self.len() as u64
     }
 
     /// True iff the prefix is the whole graph.
     #[inline]
     pub fn is_full(&self) -> bool {
-        self.t == self.g.n()
+        self.len() == self.g.n()
     }
 
     /// Weight threshold realized by this prefix: the weight of its last
     /// vertex (`τ` such that the prefix is `G≥τ`). `None` when empty.
     pub fn threshold(&self) -> Option<f64> {
-        (self.t > 0).then(|| self.g.weight(self.t as Rank - 1))
+        (!self.is_empty()).then(|| self.g.weight(self.len() as Rank - 1))
+    }
+
+    /// Appends the next rank: it brings its `N≥` edges, and each of its
+    /// `N≥` neighbors' in-prefix lists grows by one entry.
+    fn push_next(&mut self) {
+        let t = self.len() as Rank;
+        let higher = self.g.higher_neighbors(t);
+        for &h in higher {
+            self.in_len[h as usize] += 1;
+        }
+        self.in_len.push(higher.len() as u32);
+        self.size += 1 + higher.len() as u64;
     }
 
     /// Grows the prefix until it contains `t` vertices (no-op if already
     /// larger). Cost: `O(Δsize)`.
     pub fn extend_to_len(&mut self, t: usize) {
         let t = t.min(self.g.n());
-        while self.t < t {
-            self.size += 1 + self.g.higher_degree(self.t as Rank) as u64;
-            self.t += 1;
+        self.in_len.reserve(t.saturating_sub(self.len()));
+        while self.len() < t {
+            self.push_next();
         }
     }
 
     /// Grows the prefix until `size ≥ target` or the whole graph is
     /// included, the exact extension rule of Algorithm 1 line 4 (with the
-    /// `τ_min` fallback). Returns the new size.
+    /// `τ_min` fallback). Returns the new size. Cost: `O(Δsize)`.
     pub fn extend_to_size(&mut self, target: u64) -> u64 {
-        while self.size < target && self.t < self.g.n() {
-            self.size += 1 + self.g.higher_degree(self.t as Rank) as u64;
-            self.t += 1;
+        while self.size < target && !self.is_full() {
+            self.push_next();
         }
         self.size
     }
 
-    /// Neighbors of `r` inside the prefix (requires `r < len`).
+    /// Neighbors of `r` inside the prefix (requires `r < len`): the first
+    /// [`Prefix::degree`] entries of its sorted adjacency list, in O(1).
     #[inline]
     pub fn neighbors(&self, r: Rank) -> &'g [Rank] {
-        debug_assert!((r as usize) < self.t);
-        self.g.neighbors_in_prefix(r, self.t)
+        let start = self.g.offsets[r as usize];
+        &self.g.adj[start..start + self.in_len[r as usize] as usize]
     }
 
-    /// Degree of `r` inside the prefix.
+    /// Degree of `r` inside the prefix (requires `r < len`), in O(1).
     #[inline]
     pub fn degree(&self, r: Rank) -> u32 {
-        self.g.degree_in_prefix(r, self.t)
+        self.in_len[r as usize]
     }
 
-    /// Fills `deg[r]` for all `r < len` with prefix degrees, touching each
-    /// prefix edge twice — the linear-time "retrieve the `N≥` lists" step of
-    /// Section 3.1. `deg` must have length at least `len`.
+    /// Fills `deg[r]` for all `r < len` with prefix degrees — the
+    /// "retrieve the `N≥` lists" step of Section 3.1, a copy of the
+    /// lengths the growth kept, O(len). `deg` must have length at least
+    /// `len`.
     pub fn fill_degrees(&self, deg: &mut [u32]) {
-        for (r, d) in deg.iter_mut().enumerate().take(self.t) {
-            *d = self.g.higher_degree(r as Rank);
-        }
-        for r in 0..self.t {
-            for &h in self.g.higher_neighbors(r as Rank) {
-                deg[h as usize] += 1;
-            }
-        }
+        deg[..self.len()].copy_from_slice(&self.in_len);
     }
 }
 
@@ -188,7 +208,7 @@ mod tests {
             let mut deg = vec![0u32; g.n()];
             p.fill_degrees(&mut deg);
             for r in 0..t as Rank {
-                assert_eq!(deg[r as usize], p.degree(r), "t={t} r={r}");
+                assert_eq!(deg[r as usize], g.degree_in_prefix(r, t), "t={t} r={r}");
             }
         }
     }

@@ -200,7 +200,7 @@ fn dispatch(svc: &Arc<Service>, line: &str) -> Result<String, ServiceError> {
         Verb::LoadX => {
             let (name, path, budget) = match *args.as_slice() {
                 [name, path] => (name, path, None),
-                [name, path, b] => (name, path, Some(parse_num::<u64>("budget_bytes", b)?)),
+                [name, path, b] => (name, path, Some(parse_num::<u64>("budget", b)?)),
                 _ => return Err(malformed()),
             };
             let entry = svc.register_file(name, path, budget)?;
@@ -1045,6 +1045,14 @@ mod tests {
         }
         // the hostile attempts left the service fully functional
         assert!(handle_line(&svc, "QUERY fig3 3 4").contains("count=4"));
+    }
+
+    #[test]
+    fn loadx_budget_errors_name_the_documented_field() {
+        assert_eq!(
+            handle_line(&svc(), "LOADX a b 12x"),
+            r#"ERR invalid query: budget: not a valid number: "12x""#
+        );
     }
 
     #[test]

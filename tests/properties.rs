@@ -1,14 +1,17 @@
 //! Property-based tests (proptest) for the core invariants the paper
 //! proves: monotonicity (Lemma 3.1), keynode/community bijection
 //! (Lemma 3.4), correctness of the top-k prefix rule (Theorem 3.1), the
-//! accessed-size bound behind instance optimality (Lemma 3.8), and
-//! structural integrity of the community forest.
+//! accessed-size bound behind instance optimality (Lemma 3.8) and the
+//! geometric bound on counting work, for every local executor, and
+//! structural integrity of the community forest. The prefix's stored
+//! `N≥` bookkeeping is checked against the graph's binary search.
 
-use ic_graph::generators::{assemble, gnm, WeightKind};
-use ic_graph::{Prefix, WeightedGraph};
+use ic_graph::generators::{assemble, barabasi_albert, gnm, WeightKind};
+use ic_graph::paper::figure3;
+use ic_graph::{Prefix, Rank, WeightedGraph};
 use influential_communities::search::community::verify;
 use influential_communities::search::query::{AlgorithmId, Selection};
-use influential_communities::search::{count, naive, progressive, TopKQuery};
+use influential_communities::search::{count, naive, progressive, SearchStats, TopKQuery};
 
 /// Forced-LocalSearch query: these properties are about Algorithm 1's
 /// access pattern, so auto-selection must not reroute them.
@@ -215,6 +218,158 @@ proptest! {
             let mx: Vec<u64> = x.external_members(&g);
             let my: Vec<u64> = y.external_members(&g2);
             prop_assert_eq!(mx, my);
+        }
+    }
+}
+
+/// Checks a prefix's stored in-prefix lengths against the binary-search
+/// oracle over each member's sorted adjacency list.
+fn check_prefix(g: &WeightedGraph, p: &Prefix<'_>) -> Result<(), proptest::TestCaseError> {
+    let len = p.len();
+    let mut deg = vec![u32::MAX; len];
+    p.fill_degrees(&mut deg);
+    let mut edges = 0u64;
+    for r in 0..len as Rank {
+        let (oracle, ctx) = (g.degree_in_prefix(r, len), format!("len={len} r={r}"));
+        prop_assert_eq!(p.neighbors(r), g.neighbors_in_prefix(r, len), "{}", ctx);
+        prop_assert_eq!(p.degree(r), oracle, "{}", ctx);
+        prop_assert_eq!(deg[r as usize], oracle, "{}", ctx);
+        edges += u64::from(g.higher_degree(r));
+    }
+    prop_assert_eq!(p.size(), len as u64 + edges, "len={}", len);
+    Ok(())
+}
+
+/// Strategy: a graph large enough that local searches run several growth
+/// rounds before they meet their answer: (family, n, density, seed).
+fn round_graph_params() -> impl Strategy<Value = (usize, usize, usize, u64)> {
+    (0usize..2, 64usize..320, 2usize..6, 0u64..10_000)
+}
+
+/// A G(n, m) graph ([`make_graph`]) for family 0, a Barabási–Albert
+/// graph with PageRank weights otherwise.
+fn make_family_graph(family: usize, n: usize, density: usize, seed: u64) -> WeightedGraph {
+    match family {
+        0 => make_graph(n, density, seed),
+        _ => assemble(n, &barabasi_albert(n, density, seed), WeightKind::PageRank),
+    }
+}
+
+/// `size(G≥τ*)`: the size of the shortest prefix holding at least `k`
+/// communities, or `None` when the whole graph holds fewer. The count is
+/// monotone in the prefix (Lemma 3.1), so a binary search finds it.
+fn size_star(g: &WeightedGraph, gamma: u32, k: usize) -> Option<u64> {
+    let count = |t: usize| count::count_ic(&Prefix::with_len(g, t), gamma);
+    if count(g.n()) < k {
+        return None;
+    }
+    let (mut lo, mut hi) = (0, g.n());
+    while lo < hi {
+        let mid = lo + (hi - lo) / 2;
+        if count(mid) >= k {
+            hi = mid;
+        } else {
+            lo = mid + 1;
+        }
+    }
+    Some(Prefix::with_len(g, lo).size())
+}
+
+/// The local executors, each run forced through the query API at the
+/// default growth ratio δ = 2: LocalSearch, LocalSearch-P (its stream
+/// after k items) and LocalSearch-SE (on the memory store). Returns each
+/// one's statistics.
+fn local_rounds(g: &WeightedGraph, gamma: u32, k: usize) -> [(AlgorithmId, SearchStats); 3] {
+    [
+        AlgorithmId::LocalSearch,
+        AlgorithmId::Progressive,
+        AlgorithmId::LocalSearchSE,
+    ]
+    .map(|id| {
+        let q = TopKQuery::new(gamma).k(k).algorithm(Selection::Forced(id));
+        (id, q.run(g).unwrap().stats)
+    })
+}
+
+/// Growth ratio every executor in [`local_rounds`] runs at.
+const DELTA: f64 = 2.0;
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(32))]
+
+    /// The prefix keeps each member's in-prefix list length as it grows;
+    /// its slices, degrees and size equal the binary-search oracle at
+    /// every length, and along a δ = 2 growth chain, on G(n, m),
+    /// Barabási–Albert and Figure 3 graphs.
+    #[test]
+    fn prefix_bookkeeping_matches_binary_search(
+        family in 0usize..3,
+        (n, d, seed) in graph_params(),
+    ) {
+        let g = match family {
+            0 | 1 => make_family_graph(family, n, d, seed),
+            _ => figure3(),
+        };
+        for t in 0..=g.n() {
+            check_prefix(&g, &Prefix::with_len(&g, t))?;
+        }
+        let mut p = Prefix::with_len(&g, 1);
+        loop {
+            check_prefix(&g, &p)?;
+            if p.is_full() {
+                break;
+            }
+            p.extend_to_size((p.size() * 2).max(p.size() + 1));
+        }
+    }
+
+    /// Lemma 3.8 for every local executor: the final prefix is at most
+    /// `2δ·size(G≥τ*)`, and when the graph holds fewer than k communities
+    /// the search ends on the whole graph.
+    #[test]
+    fn local_executors_access_at_most_2_delta_size_star(
+        (family, n, d, seed) in round_graph_params(),
+        gamma in 1u32..5,
+        k in 1usize..40,
+    ) {
+        let g = make_family_graph(family, n, d, seed);
+        let star = size_star(&g, gamma, k);
+        for (id, s) in local_rounds(&g, gamma, k) {
+            match star {
+                Some(star) => prop_assert!(
+                    s.final_prefix_size as f64 <= 2.0 * DELTA * star as f64,
+                    "{}: final prefix {} exceeds 2δ·size* = {} (gamma={}, k={})",
+                    id, s.final_prefix_size, 2.0 * DELTA * star as f64, gamma, k
+                ),
+                None => prop_assert_eq!(s.final_prefix_size, g.size(), "{}", id),
+            }
+        }
+    }
+
+    /// Geometric growth bounds the counting work: each round's prefix is
+    /// at least δ times the previous one, so the counted sizes sum to at
+    /// most `δ/(δ−1)` times the final prefix. When the last growth step
+    /// stops at the whole graph short of its target, the earlier rounds
+    /// still sum to at most `δ/(δ−1)` times the final prefix, so the
+    /// bound is `(1 + δ/(δ−1))·final`, 3× at δ = 2.
+    #[test]
+    fn local_executors_counting_work_is_geometric(
+        (family, n, d, seed) in round_graph_params(),
+        gamma in 1u32..5,
+        k in 1usize..40,
+    ) {
+        let g = make_family_graph(family, n, d, seed);
+        let geometric = DELTA / (DELTA - 1.0);
+        for (id, s) in local_rounds(&g, gamma, k) {
+            let whole = s.final_prefix_size == g.size();
+            let factor = if whole { 1.0 + geometric } else { geometric };
+            prop_assert!(
+                s.total_counted_size as f64 <= factor * s.final_prefix_size as f64,
+                "{}: counted {} over {} rounds exceeds {}× the final prefix {} \
+                 (whole graph: {}, gamma={}, k={})",
+                id, s.total_counted_size, s.rounds, factor, s.final_prefix_size,
+                whole, gamma, k
+            );
         }
     }
 }
